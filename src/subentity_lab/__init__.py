@@ -8,9 +8,13 @@ laboratory semantics that constructs state property systems from device
 tables.
 """
 
+# assigned before the submodule imports: modelio reads it for its reports
+__version__ = "0.1.0"
+
 from .axioms import AxiomVerdict, run_battery
 from .hilbert import (
     EPS,
+    EPS_MATCH,
     EPS_RECON,
     DensityOperator,
     Projection,
@@ -64,5 +68,3 @@ from .subentity import (
     search_witness,
     verify_witness,
 )
-
-__version__ = "0.1.0"

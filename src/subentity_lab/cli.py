@@ -2,9 +2,10 @@
 
 Exit codes: 0 = ran and the primary verdict is positive, 1 = ran and the
 verdict is negative (an axiom failed, no witness found, ...), 2 = input
-error, 3 = search budget exhausted.  The tolerance comes from --eps,
-falling back to the SUBENTITY_LAB_EPS environment variable, then the
-built-in default.
+error, 3 = search budget exhausted.  The two commands that use a
+tolerance, subentity-quantum and evolve, take it from --eps, falling back
+to the SUBENTITY_LAB_EPS environment variable, then the built-in default;
+the other commands refuse --eps.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import axioms, hilbert, lecce, subentity
-from .hilbert import EPS, DensityOperator, StateVector
+from .hilbert import EPS, DensityOperator
 from .lattice import LatticeError, build_lattice
 from .modelio import (
     ModelIOError,
@@ -90,7 +91,7 @@ def _fmt_matrix_lines(M):
 # subcommands
 
 
-def _cmd_check_axioms(args, eps):
+def _cmd_check_axioms(args):
     doc, digest = _load(args.file)
     _want(doc, args.file, "sps", "lattice")
     S = _doc_sps(doc, args.file)
@@ -114,7 +115,7 @@ def _cmd_check_axioms(args, eps):
     return rep, 0 if ok else 1
 
 
-def _cmd_sps_check(args, eps):
+def _cmd_sps_check(args):
     doc, digest = _load(args.file)
     _want(doc, args.file, "sps")
     rep = Report("sps-check", digest)
@@ -131,7 +132,7 @@ def _cmd_sps_check(args, eps):
     return rep, 0
 
 
-def _cmd_schmidt(args, eps):
+def _cmd_schmidt(args):
     doc, digest = _load(args.file)
     _want(doc, args.file, "hilbert")
     dA, dB = _dims(doc, args.file)
@@ -149,7 +150,7 @@ def _cmd_schmidt(args, eps):
     return rep, 0
 
 
-def _cmd_ptrace(args, eps):
+def _cmd_ptrace(args):
     doc, digest = _load(args.file)
     _want(doc, args.file, "hilbert")
     dA, dB = _dims(doc, args.file)
@@ -176,7 +177,7 @@ def _cmd_ptrace(args, eps):
     return rep, 0
 
 
-def _cmd_subentity_search(args, eps):
+def _cmd_subentity_search(args):
     part_doc, d1 = _load(args.part)
     whole_doc, d2 = _load(args.whole)
     _want(part_doc, args.part, "sps", "lattice")
@@ -199,7 +200,7 @@ def _cmd_subentity_search(args, eps):
     return rep, 0
 
 
-def _cmd_subentity_quantum(args, eps):
+def _cmd_subentity_quantum(args):
     doc, digest = _load(args.file)
     _want(doc, args.file, "hilbert")
     dims = _dims(doc, args.file)
@@ -209,10 +210,10 @@ def _cmd_subentity_quantum(args, eps):
     if not wholes:
         raise _InputError(f"{args.file}: needs W* matrices for the compound states")
     try:
-        model = subentity.build_completed_model(dims, wholes, props, eps)
+        model = subentity.build_completed_model(dims, wholes, props, args.eps)
     except (hilbert.HilbertError, SPSError, subentity.SubentityError) as exc:
         raise _InputError(f"{args.file}: {exc}")
-    cov = subentity.canonical_witness_check(model, eps)
+    cov = subentity.canonical_witness_check(model, args.eps)
     ver = subentity.verify_witness(model.part.sps, model.whole.sps, model.witness)
     rep = Report("subentity-quantum", digest)
     rep.verdicts.append({
@@ -228,7 +229,7 @@ def _cmd_subentity_quantum(args, eps):
     return rep, 0 if (cov and ver.ok) else 1
 
 
-def _cmd_lecce_build(args, eps):
+def _cmd_lecce_build(args):
     doc, digest = _load(args.file)
     _want(doc, args.file, "labworld")
     w = doc.body["world"]
@@ -254,7 +255,7 @@ def _cmd_lecce_build(args, eps):
     return rep, 0 if build.sps is not None else 1
 
 
-def _cmd_decompose(args, eps):
+def _cmd_decompose(args):
     doc, digest = _load(args.file)
     _want(doc, args.file, "hilbert")
     W = DensityOperator(_matrix(doc, args.file, "W"))
@@ -274,7 +275,7 @@ def _cmd_decompose(args, eps):
     return rep, 0
 
 
-def _cmd_evolve(args, eps):
+def _cmd_evolve(args):
     doc, digest = _load(args.file)
     _want(doc, args.file, "hilbert")
     dA, dB = _dims(doc, args.file)
@@ -283,9 +284,9 @@ def _cmd_evolve(args, eps):
     before, after = hilbert.reduced_evolution(psi, U, dA, dB)
     rep = Report("evolve", digest)
     rep.verdicts.append({"purity_before": before, "purity_after": after,
-                         "nonunitary_reduction": abs(after - before) > eps})
+                         "nonunitary_reduction": abs(after - before) > args.eps})
     rep.human_lines.append(f"  reduced purity {before:.12g} -> {after:.12g}")
-    if abs(after - before) > eps:
+    if abs(after - before) > args.eps:
         rep.human_lines.append("  reduced dynamics is not unitary (purity changed)")
     return rep, 0
 
@@ -295,10 +296,15 @@ def _cmd_evolve(args, eps):
 
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--eps", type=float, default=None,
-                        help="actuality/structure tolerance (overrides SUBENTITY_LAB_EPS)")
     common.add_argument("--format", choices=("human", "machine"), default="human")
     common.add_argument("--out", default=None, help="write the report to a file")
+
+    # a string default (the environment variable) is parsed like the flag,
+    # and only for the commands that take this parent
+    tolerance = argparse.ArgumentParser(add_help=False)
+    tolerance.add_argument("--eps", type=float, default=os.environ.get("SUBENTITY_LAB_EPS", EPS),
+                           help="actuality tolerance (default %(default)s, from "
+                                "SUBENTITY_LAB_EPS if set)")
 
     ap = argparse.ArgumentParser(prog="subentity-lab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -330,7 +336,7 @@ def _build_parser():
     p.add_argument("--budget", type=int, default=10_000_000)
     p.set_defaults(func=_cmd_subentity_search)
 
-    p = sub.add_parser("subentity-quantum", parents=[common],
+    p = sub.add_parser("subentity-quantum", parents=[common, tolerance],
                        help="build the completed model and verify the canonical witness")
     p.add_argument("file")
     p.set_defaults(func=_cmd_subentity_quantum)
@@ -348,7 +354,7 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("evolve", parents=[common],
+    p = sub.add_parser("evolve", parents=[common, tolerance],
                        help="reduced purity before/after a unitary step")
     p.add_argument("file")
     p.set_defaults(func=_cmd_evolve)
@@ -364,16 +370,8 @@ def run_cli(argv, stdout=None, stderr=None):
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    eps = args.eps
-    if eps is None:
-        env = os.environ.get("SUBENTITY_LAB_EPS")
-        try:
-            eps = float(env) if env is not None else EPS
-        except ValueError:
-            print(f"bad SUBENTITY_LAB_EPS value {env!r}", file=stderr)
-            return 2
     try:
-        rep, code = args.func(args, eps)
+        rep, code = args.func(args)
     except _InputError as exc:
         print(str(exc), file=stderr)
         return 2

@@ -1,13 +1,20 @@
 """Finite-dimensional complex Hilbert machinery.
 
-Tensor products, partial traces, Schmidt (biorthogonal) decomposition,
-density-operator decompositions, Born values, range preorder, and reduced
-evolution.  The reference Hermitian eigensolver is a cyclic Jacobi
-rotation method; dimensions are desk scale (<= 16), where it is simple
-and robust.
+Carrier types that check their invariants on construction (state vectors,
+density operators, projections), tensor products, partial traces, Schmidt
+(biorthogonal) decomposition, density-operator decompositions, Born values,
+range preorder, and reduced evolution.  Spectra come from numpy's eigh and
+eigvalsh.  `jacobi_eigh`, a cyclic Jacobi rotation method, is the reference
+the tests check numpy against; no library code calls it.
 
-Tolerances are centralized: EPS for structural checks, EPS_RECON for
-reconstructions.
+Every tolerance of the package is one of three constants.  EPS: density
+operators' Hermiticity, the cutoff below which an eigenvalue, Schmidt
+coefficient, amplitude or decomposition weight counts as zero, degenerate
+eigenvalue clusters, and the default actuality tolerance (Born value at
+least 1 - eps).  EPS_RECON: identities on recomputed products, namely
+positivity, Hermiticity and idempotence of projections, unitarity, range
+containment, and the null space taken as a meet of projections.
+EPS_MATCH: unit norms, unit and integer traces, and operator equality.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import numpy as np
 
 EPS = 1e-9
 EPS_RECON = 1e-8
+EPS_MATCH = 1e-7
 
 
 class HilbertError(Exception):
@@ -49,6 +57,17 @@ def _as_complex(M):
     return np.asarray(M, dtype=complex)
 
 
+def operators_equal(A, B):
+    """True iff two operator matrices agree entrywise within EPS_MATCH."""
+    return bool(np.max(np.abs(A - B)) <= EPS_MATCH)
+
+
+def check_unitary(U):
+    """Raise NotUnitary unless the square matrix U satisfies U^dagger U = I."""
+    if np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0]))) > EPS_RECON:
+        raise NotUnitary("not unitary within eps")
+
+
 # ---------------------------------------------------------------------------
 # carrier types
 
@@ -63,7 +82,7 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
         if not np.all(np.isfinite(amps.view(float))):
             raise InvalidOperator("non-finite amplitude")
-        if abs(np.linalg.norm(amps) - 1.0) > 1e-7:
+        if abs(np.linalg.norm(amps) - 1.0) > EPS_MATCH:
             raise NormViolation(f"norm {np.linalg.norm(amps)} != 1")
         if self.factor_dims is not None:
             dA, dB = self.factor_dims
@@ -90,11 +109,11 @@ class DensityOperator:
             raise InvalidOperator("density operator must be square")
         if np.max(np.abs(M - M.conj().T)) > EPS:
             raise InvalidOperator("not Hermitian within eps")
-        if abs(np.trace(M).real - 1.0) > 1e-7:
+        if abs(np.trace(M).real - 1.0) > EPS_MATCH:
             raise InvalidOperator(f"trace {np.trace(M).real} != 1")
-        evals, _ = jacobi_eigh(M)
-        if evals[0] < -1e-8:
-            raise InvalidOperator(f"not positive semidefinite (min eigenvalue {evals[0]})")
+        least = np.linalg.eigvalsh(M)[0]
+        if least < -EPS_RECON:
+            raise InvalidOperator(f"not positive semidefinite (min eigenvalue {least})")
 
     @property
     def dim(self):
@@ -111,13 +130,13 @@ class Projection:
         object.__setattr__(self, "matrix", M)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise InvalidOperator("projection must be square")
-        if np.max(np.abs(M - M.conj().T)) > 1e-8:
+        if np.max(np.abs(M - M.conj().T)) > EPS_RECON:
             raise InvalidOperator("not Hermitian within eps")
-        if np.max(np.abs(M @ M - M)) > 1e-8:
+        if np.max(np.abs(M @ M - M)) > EPS_RECON:
             raise InvalidOperator("not idempotent within eps")
         tr = np.trace(M).real
         r = int(round(tr))
-        if abs(tr - r) > 1e-7:
+        if abs(tr - r) > EPS_MATCH:
             raise InvalidOperator(f"trace {tr} is not an integer rank")
         object.__setattr__(self, "rank", r)
 
@@ -145,7 +164,9 @@ def jacobi_eigh(H, tol=1e-13, max_sweeps=60):
     """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
 
     Returns (eigenvalues ascending, eigenvector columns).  Each rotation is
-    a complex Givens rotation annihilating one off-diagonal entry.
+    a complex Givens rotation annihilating one off-diagonal entry.  No
+    library code calls it: it is the reference that numpy's eigh is
+    checked against in the tests.
     """
     A = _as_complex(H).copy()
     n = A.shape[0]
@@ -191,27 +212,31 @@ def jacobi_eigh(H, tol=1e-13, max_sweeps=60):
     return evals[order], V[:, order]
 
 
-def _canonical_phase(v):
-    """Rotate the global phase so the first non-negligible amplitude is real-positive."""
+def _phase_fix(v):
+    """The unit factor that makes the first non-negligible amplitude of v real-positive."""
     for x in v:
-        if abs(x) > 1e-10:
-            return v * (abs(x) / x)
-    return v
+        if abs(x) > EPS:
+            return abs(x) / x
+    return 1.0
 
 
-def _canonicalize_degenerate(evals, vecs, tol=1e-9):
+def _canonical_phase(v):
+    return v * _phase_fix(v)
+
+
+def _canonicalize_degenerate(evals, vecs):
     """Deterministic basis inside each degenerate eigenspace.
 
     Within a cluster of equal eigenvalues, project the standard basis
     vectors in order onto the eigenspace and Gram-Schmidt them, so the
-    output does not depend on rotation history.
+    output does not depend on the basis the eigensolver happened to pick.
     """
     n = evals.size
     out = vecs.copy()
     i = 0
     while i < n:
         j = i + 1
-        while j < n and abs(evals[j] - evals[i]) <= tol:
+        while j < n and abs(evals[j] - evals[i]) <= EPS:
             j += 1
         if j - i > 1:
             block = vecs[:, i:j]
@@ -222,7 +247,7 @@ def _canonicalize_degenerate(evals, vecs, tol=1e-9):
                 for u in chosen:
                     w = w - u * (u.conj() @ w)
                 nrm = np.linalg.norm(w)
-                if nrm > 1e-8:
+                if nrm > EPS_RECON:
                     chosen.append(w / nrm)
                 if len(chosen) == j - i:
                     break
@@ -241,7 +266,7 @@ def eigendecomposition(W):
     zero-weight terms dropped, and a deterministic basis in degenerate
     eigenspaces.
     """
-    evals, vecs = jacobi_eigh(W.matrix)
+    evals, vecs = np.linalg.eigh(W.matrix)
     vecs = _canonicalize_degenerate(evals, vecs)
     pairs = [(float(evals[k]), vecs[:, k]) for k in range(evals.size) if evals[k] > EPS]
     pairs.sort(key=lambda t: -t[0])
@@ -255,14 +280,6 @@ def eigendecomposition(W):
 def tensor(A, B):
     """Kronecker product, left factor major: composite index = a*dB + b."""
     return np.kron(_as_complex(A), _as_complex(B))
-
-
-def identity_projection(dim):
-    return Projection(np.eye(dim, dtype=complex))
-
-
-def zero_projection(dim):
-    return Projection(np.zeros((dim, dim), dtype=complex))
 
 
 def partial_trace(W, dA, dB, keep="A"):
@@ -281,6 +298,10 @@ def partial_trace(W, dA, dB, keep="A"):
     return DensityOperator(R)
 
 
+def _unit_amplitudes(psi):
+    return (psi if isinstance(psi, StateVector) else StateVector(psi)).amplitudes
+
+
 def schmidt(psi, dA, dB):
     """Biorthogonal decomposition of a bipartite unit vector.
 
@@ -288,13 +309,11 @@ def schmidt(psi, dA, dB):
     eigenvalues; the reconstruction sum of coeff * (left x right) equals
     psi up to global phase.
     """
-    amps = psi.amplitudes if isinstance(psi, StateVector) else _as_complex(psi).reshape(-1)
+    amps = _unit_amplitudes(psi)
     if amps.size != dA * dB:
         raise DimensionMismatch(f"vector dim {amps.size} != {dA}*{dB}")
-    if abs(np.linalg.norm(amps) - 1.0) > 1e-7:
-        raise NormViolation("vector is not unit norm")
     M = amps.reshape(dA, dB)
-    evals, vecs = jacobi_eigh(M.conj().T @ M)
+    evals, vecs = np.linalg.eigh(M.conj().T @ M)
     order = np.argsort(-evals, kind="stable")
     coeffs = []
     lefts = []
@@ -307,12 +326,8 @@ def schmidt(psi, dA, dB):
         l = M @ r / sigma
         # fold phases so the left vector is canonical and the pair still
         # reconstructs psi exactly (no global phase shuffling per term)
-        for x in l:
-            if abs(x) > 1e-10:
-                ph = x / abs(x)
-                l = l * np.conj(ph)
-                r = r * np.conj(ph)
-                break
+        ph = _phase_fix(l)
+        l, r = l * ph, r * ph
         coeffs.append(sigma)
         lefts.append(l)
         rights.append(r.conj())
@@ -357,15 +372,11 @@ def range_preorder(W1, W2, eps=EPS):
     if W1.dim != W2.dim:
         raise DimensionMismatch(f"{W1.dim} vs {W2.dim}")
     Q2 = support_projection(W2, eps)
-    return bool(np.max(np.abs(Q2 @ W1.matrix @ Q2 - W1.matrix)) <= 1e-8)
+    return bool(np.max(np.abs(Q2 @ W1.matrix @ Q2 - W1.matrix)) <= EPS_RECON)
 
 
 def purity(W):
     return float(np.trace(W.matrix @ W.matrix).real)
-
-
-def is_pure(W, eps=EPS):
-    return purity(W) >= 1.0 - eps
 
 
 def decompositions_sample(W, parts, count, seed):
@@ -388,7 +399,7 @@ def decompositions_sample(W, parts, count, seed):
             Q, _ = np.linalg.qr(Z)  # parts x r isometry, Q^dagger Q = I_r
             Wcols = B @ Q.T  # dim x parts, column j = sum_i Q[j,i] * b_i
             weights = np.sum(np.abs(Wcols) ** 2, axis=0)
-            if np.min(weights) > 1e-12:
+            if np.min(weights) > EPS:
                 break
         terms = []
         for j in range(parts):
@@ -402,25 +413,22 @@ def decompositions_sample(W, parts, count, seed):
 
 def reduced_evolution(psi0, U, dA, dB):
     """Purity of the reduced operator on factor A before and after a unitary step."""
-    amps = psi0.amplitudes if isinstance(psi0, StateVector) else _as_complex(psi0).reshape(-1)
+    amps = _unit_amplitudes(psi0)
     U = _as_complex(U)
     if amps.size != dA * dB or U.shape != (dA * dB, dA * dB):
         raise DimensionMismatch("state/unitary dimensions do not match dA*dB")
-    if np.max(np.abs(U.conj().T @ U - np.eye(dA * dB))) > 1e-8:
-        raise NotUnitary("U is not unitary within eps")
-    if abs(np.linalg.norm(amps) - 1.0) > 1e-7:
-        raise NormViolation("state is not unit norm")
+    check_unitary(U)
     before = purity(partial_trace(np.outer(amps, amps.conj()), dA, dB, keep="A"))
     out = U @ amps
     after = purity(partial_trace(np.outer(out, out.conj()), dA, dB, keep="A"))
     return before, after
 
 
-def meet_projection(P, Q, eps=EPS):
+def meet_projection(P, Q):
     """Projection onto range(P) intersect range(Q).
 
     Computed as the null space of (I-P) + (I-Q), extracted from the
-    Jacobi eigendecomposition of that positive semidefinite sum.
+    eigendecomposition of that positive semidefinite sum.
     """
     PM = P.matrix if isinstance(P, Projection) else _as_complex(P)
     QM = Q.matrix if isinstance(Q, Projection) else _as_complex(Q)
@@ -428,10 +436,10 @@ def meet_projection(P, Q, eps=EPS):
         raise DimensionMismatch(f"{PM.shape} vs {QM.shape}")
     n = PM.shape[0]
     S = (np.eye(n) - PM) + (np.eye(n) - QM)
-    evals, vecs = jacobi_eigh(S)
+    evals, vecs = np.linalg.eigh(S)
     R = np.zeros((n, n), dtype=complex)
     for k in range(n):
-        if evals[k] <= 1e-8:
+        if evals[k] <= EPS_RECON:
             v = vecs[:, k]
             R += np.outer(v, v.conj())
     R = (R + R.conj().T) / 2.0

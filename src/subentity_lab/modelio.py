@@ -1,11 +1,11 @@
 """Line-oriented model files: parser, canonical serializer, and reports.
 
-One document kind per file ("lattice", "sps", "hilbert", "labworld",
-"compound"); compound documents reference other files by relative path in
-an [include] section.  Complex entries are written `a+bi` / `a-bi` with
-optional whitespace; bare reals are permitted.  Canonical serialization
-sorts sections, formats floats with 17 significant digits, and is a
-fixpoint: parse(serialize(doc)) == doc.
+One document kind per file ("lattice", "sps", "hilbert", "labworld").
+Complex entries are written `a+bi` / `a-bi` with optional whitespace;
+bare reals are permitted.  Matrix names carry roles, checked on parse by
+the `hilbert` carrier types under their tolerances.  Canonical
+serialization sorts sections, formats floats with 17 significant digits,
+and is a fixpoint: parse(serialize(doc)) == doc.
 """
 
 from __future__ import annotations
@@ -17,9 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
+from .hilbert import DensityOperator, HilbertError, Projection, StateVector, check_unitary
 from .lecce import LabObject, LabWorld
 
-KINDS = ("lattice", "sps", "hilbert", "labworld", "compound")
+KINDS = ("lattice", "sps", "hilbert", "labworld")
 
 
 class ModelIOError(Exception):
@@ -182,11 +184,6 @@ def parse_model(data):
         _parse_hilbert_body(doc, by_name)
     if kind == "labworld":
         _parse_labworld_body(doc, by_name)
-    if kind == "compound":
-        doc.body["includes"] = dict(
-            sorted(_kv_lines(by_name.pop(("include",), []), "include").items()))
-        if not doc.body["includes"]:
-            raise ModelSchemaError("include", "compound document needs at least one include")
     leftovers = [" ".join(k) for k in by_name]
     if leftovers:
         raise ModelSchemaError(leftovers[0], f"unexpected section for kind {kind}")
@@ -249,8 +246,10 @@ def _parse_hilbert_body(doc, by_name):
     matrices = {}
     for key in [k for k in by_name if k and k[0] == "matrix"]:
         lines = by_name.pop(key)
-        if len(key) != 4 or not (key[2].isdigit() and key[3].isdigit()):
-            raise ModelSchemaError(" ".join(key), "header must be [matrix NAME ROWS COLS]")
+        if (len(key) != 4 or not (key[2].isdigit() and key[3].isdigit())
+                or int(key[2]) < 1 or int(key[3]) < 1):
+            raise ModelSchemaError(" ".join(key), "header must be [matrix NAME ROWS COLS], "
+                                                  "ROWS and COLS at least 1")
         name, rows, cols = key[1], int(key[2]), int(key[3])
         if name in matrices:
             raise ModelSchemaError(" ".join(key), "duplicate matrix name")
@@ -275,32 +274,29 @@ def _parse_hilbert_body(doc, by_name):
     doc.body["matrices"] = matrices
 
 
-def _validate_matrix_role(name, M, tol=1e-7):
-    """Names carry roles: W* density, P* projection, U* unitary, psi* unit vector."""
+def _validate_matrix_role(name, M):
+    """Names carry roles: W* density, P* projection, U* unitary, psi* unit vector.
+
+    Each role is checked by the matching `hilbert` carrier, so a matrix
+    that parses is accepted by every command that reads it.
+    """
     if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
         raise ModelSchemaError("matrix", f"{name}: entries must be finite")
-    if name.startswith("psi"):
-        if M.shape[1] != 1:
-            raise ModelSchemaError("matrix", f"{name}: state vector must be a column")
-        if abs(np.linalg.norm(M) - 1.0) > tol:
-            raise ModelSchemaError("matrix", f"{name}: not unit norm within eps")
-        return
-    if name[0] in ("W", "P", "U"):
-        if M.shape[0] != M.shape[1]:
-            raise ModelSchemaError("matrix", f"{name}: operator must be square")
-    if name.startswith("W"):
-        if np.max(np.abs(M - M.conj().T)) > tol:
-            raise ModelSchemaError("matrix", f"{name}: not Hermitian within eps")
-        if abs(np.trace(M).real - 1.0) > tol:
-            raise ModelSchemaError("matrix", f"{name}: trace differs from 1")
-        if np.min(np.linalg.eigvalsh(M)) < -tol:
-            raise ModelSchemaError("matrix", f"{name}: not positive semidefinite")
-    elif name.startswith("P"):
-        if np.max(np.abs(M - M.conj().T)) > tol or np.max(np.abs(M @ M - M)) > tol:
-            raise ModelSchemaError("matrix", f"{name}: not a projection within eps")
-    elif name.startswith("U"):
-        if np.max(np.abs(M.conj().T @ M - np.eye(M.shape[0]))) > tol:
-            raise ModelSchemaError("matrix", f"{name}: not unitary within eps")
+    if name.startswith("psi") and M.shape[1] != 1:
+        raise ModelSchemaError("matrix", f"{name}: state vector must be a column")
+    if name[0] in ("W", "P", "U") and M.shape[0] != M.shape[1]:
+        raise ModelSchemaError("matrix", f"{name}: operator must be square")
+    try:
+        if name.startswith("psi"):
+            StateVector(M)
+        elif name.startswith("W"):
+            DensityOperator(M)
+        elif name.startswith("P"):
+            Projection(M)
+        elif name.startswith("U"):
+            check_unitary(M)
+    except HilbertError as exc:
+        raise ModelSchemaError("matrix", f"{name}: {exc}")
 
 
 def _parse_labworld_body(doc, by_name):
@@ -409,9 +405,6 @@ def serialize_model(doc):
                             + " ".join(f"{r}={'yes' if answers[r] else 'no'}"
                                        for r in w.registerers))
             chunks.append(("lab %s" % lab, rows))
-    if doc.kind == "compound":
-        chunks.append(("include",
-                       ["%s = %s" % (k, v) for k, v in sorted(doc.body["includes"].items())]))
     # sections in canonical sorted order; actuality rows and lab rows keep
     # their semantic order, everything else is already sorted above
     for header, lines in sorted(chunks, key=lambda c: c[0]):
@@ -430,8 +423,6 @@ def input_digest(data):
 # ---------------------------------------------------------------------------
 # reports
 
-TOOL_VERSION = "0.1.0"
-
 
 @dataclass
 class Report:
@@ -444,13 +435,13 @@ class Report:
         block = {
             "command": self.command,
             "input_digest": self.digest,
-            "tool_version": TOOL_VERSION,
+            "tool_version": __version__,
             "verdicts": self.verdicts,
         }
         return json.dumps(block, sort_keys=True, indent=2) + "\n"
 
     def human(self):
-        head = [f"subentity-lab {TOOL_VERSION} :: {self.command}",
+        head = [f"subentity-lab {__version__} :: {self.command}",
                 f"input sha256 {self.digest[:16]}"]
         return "\n".join(head + list(self.human_lines)) + "\n"
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hilbert
-from .hilbert import EPS, DensityOperator, Projection, born, meet_projection
+from .hilbert import EPS, DensityOperator, Projection, born, meet_projection, operators_equal
 from .lattice import FiniteLattice, build_lattice, meet
 
 
@@ -125,15 +125,15 @@ class QuantumSPS:
     duplicate_states: tuple = ()  # pairs of state indices with identical xi rows
 
 
-def _dedupe_ops(mats, eps):
+def _dedupe_ops(mats):
     kept = []
     for M in mats:
-        if not any(np.max(np.abs(M - K)) <= 1e-7 for K in kept):
+        if not any(operators_equal(M, K) for K in kept):
             kept.append(M)
     return kept
 
 
-def close_projections(prop_ops, dim, eps=EPS):
+def close_projections(prop_ops, dim):
     """Meet closure of a projection list, augmented with zero and identity.
 
     Returns deduplicated Projection values sorted by (rank, entries) so
@@ -142,13 +142,13 @@ def close_projections(prop_ops, dim, eps=EPS):
     mats = [np.zeros((dim, dim), dtype=complex), np.eye(dim, dtype=complex)]
     mats += [P.matrix if isinstance(P, Projection) else np.asarray(P, dtype=complex)
              for P in prop_ops]
-    mats = _dedupe_ops(mats, eps)
+    mats = _dedupe_ops(mats)
     while True:
         new = []
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
                 M = meet_projection(mats[i], mats[j]).matrix
-                if not any(np.max(np.abs(M - K)) <= 1e-7 for K in mats + new):
+                if not any(operators_equal(M, K) for K in mats + new):
                     new.append(M)
         if not new:
             break
@@ -177,12 +177,12 @@ def quantum_sps(state_ops, prop_ops, eps=EPS):
     dim = states[0].dim
     if any(W.dim != dim for W in states):
         raise hilbert.DimensionMismatch("state operators on different spaces")
-    projs = close_projections(prop_ops, dim, eps)
+    projs = close_projections(prop_ops, dim)
     n = len(projs)
     pairs = []
     for i in range(n):
         for j in range(n):
-            if i != j and np.max(np.abs(projs[j].matrix @ projs[i].matrix - projs[i].matrix)) <= 1e-7:
+            if i != j and operators_equal(projs[j].matrix @ projs[i].matrix, projs[i].matrix):
                 pairs.append((i, j))
     lat = build_lattice(n, pairs)
     actuality = [[born(W, P) >= 1.0 - eps for P in projs] for W in states]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from .hilbert import EPS, DensityOperator, Projection, born, partial_trace, tensor
+from .hilbert import EPS, DensityOperator, Projection, born, operators_equal, partial_trace, tensor
 from .sps import QuantumSPS, StatePropertySystem, close_projections, quantum_sps
 
 
@@ -183,9 +183,9 @@ def search_witness(part, whole, budget=10_000_000):
     return result
 
 
-def _find_op(ops, M, tol=1e-7):
+def _find_op(ops, M):
     for i, O in enumerate(ops):
-        if np.max(np.abs(O.matrix - M)) <= tol:
+        if operators_equal(O.matrix, M):
             return i
     return None
 
@@ -202,7 +202,7 @@ def build_completed_model(dims, whole_states, part_props, eps=EPS):
     wholes = [W if isinstance(W, DensityOperator) else DensityOperator(W) for W in whole_states]
     if any(W.dim != dA * dB for W in wholes):
         raise hilbert.DimensionMismatch("whole states must live on the dA*dB space")
-    part_projs = close_projections(part_props, dA, eps)
+    part_projs = close_projections(part_props, dA)
     reductions = [partial_trace(W, dA, dB, keep="A") for W in wholes]
     part_states = []
     for R in reductions:

@@ -81,6 +81,15 @@ def test_digest():
 
 # --- syntax and schema errors ---------------------------------------------
 
+# Matrices inside the old parse tolerance (1e-7) but outside the tolerance
+# of the carrier a command builds from them: W is Hermitian only to 2e-8,
+# U is unitary only to 4e-8.  Parsing must reject them, not the command.
+W_GAP = ("[meta]\nkind = hilbert\n\n[dims]\n1 2\n\n"
+         "[matrix W 2 2]\n0.5 0.50000001\n0.49999999 0.5\n")
+U_GAP = ("[meta]\nkind = hilbert\n\n[dims]\n1 2\n\n"
+         "[matrix U 2 2]\n1.00000002 0\n0 1\n\n[matrix psi 2 1]\n1\n0\n")
+W_EMPTY = "[meta]\nkind = hilbert\n\n[dims]\n1 1\n\n[matrix W 0 0]\n"
+
 
 def test_content_before_section_is_syntax_error():
     with pytest.raises(ModelSyntaxError) as exc:
@@ -114,8 +123,11 @@ def test_comments_and_blank_lines_ignored():
     ("[meta]\nkind = lattice\n[lattice]\nsize = 2\n[order]\n0 5\n", "order"),
     ("[meta]\nkind = sps\n[lattice]\nsize = 2\n[order]\n0 1\n"
      "[states]\ncount = 2\n[actuality]\n0 1\n", "actuality"),
-    ("[meta]\nkind = compound\n", "include"),
     ("[meta]\nkind = lattice\n[lattice]\nsize = 2\n[devices]\nprep p\n", "devices"),
+    (W_GAP, "matrix"),
+    (U_GAP, "matrix"),
+    (W_EMPTY, "matrix"),
+    ("[meta]\nkind = hilbert\n[matrix U 0 0]\n", "matrix"),
 ])
 def test_schema_errors(text, section):
     with pytest.raises(ModelSchemaError) as exc:
@@ -299,6 +311,24 @@ def test_cli_out_flag(tmp_path):
                        "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["command"] == "ptrace"
+
+
+@pytest.mark.parametrize("text,argv", [
+    (W_GAP, ["ptrace"]),
+    (W_GAP, ["decompose", "--parts", "2"]),
+    (U_GAP, ["evolve"]),
+    (W_EMPTY, ["ptrace"]),
+])
+def test_cli_rejects_unusable_matrix_as_input_error(tmp_path, text, argv):
+    path = tmp_path / "probe.hilbert"
+    path.write_text(text)
+    code, out, err = cli(argv[0], str(path), *argv[1:])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_refuses_eps_where_unused():
+    assert cli("check-axioms", fx("boolean_square.sps"), "--eps", "1e-6")[0] == 2
 
 
 def test_cli_eps_env_and_flag(monkeypatch):
