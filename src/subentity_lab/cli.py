@@ -11,6 +11,7 @@ the other commands refuse --eps.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from pathlib import Path
@@ -366,8 +367,9 @@ def run_cli(argv, stdout=None, stderr=None):
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     ap = _build_parser()
-    try:
-        args = ap.parse_args(argv)
+    try:  # usage errors and --help go to the streams the caller passed
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -1,9 +1,11 @@
 """Finite posets and complete lattices with exact integer arithmetic.
 
-Elements are dense indices 0..n-1.  The order relation is stored closed
-(reflexive-transitive closure computed at build time) so comparability is
-an O(1) table lookup, and meet/join tables are precomputed eagerly because
-every downstream check re-queries them heavily.
+Elements are dense indices 0..n-1.  The order is closed at build time on
+integer bit rows, giving each element's down-set and up-set.  A meet is the
+element whose down-set is the intersection of the two down-sets, a join
+likewise through up-sets, and bottom, top and atoms come from the same
+sets.  The boolean `leq` table and the eager meet/join tables make every
+downstream query an O(1) lookup.
 """
 
 from __future__ import annotations
@@ -44,17 +46,8 @@ class FiniteLattice:
     top: int
     atoms: tuple
 
-    def le(self, a, b):
-        return self.leq[a][b]
-
     def lt(self, a, b):
         return a != b and self.leq[a][b]
-
-    def downset(self, a):
-        return frozenset(x for x in range(self.size) if self.leq[x][a])
-
-    def upset(self, a):
-        return frozenset(x for x in range(self.size) if self.leq[a][x])
 
     def covers(self, a, b):
         """True iff b covers a (a < b with nothing strictly between)."""
@@ -96,61 +89,49 @@ def build_lattice(size, order_pairs):
     """
     if size < 1:
         raise LatticeError("lattice needs at least one element")
-    leq = [[False] * size for _ in range(size)]
-    for i in range(size):
-        leq[i][i] = True
+    up = [1 << a for a in range(size)]  # bit b of up[a] is set iff a <= b
     for a, b in order_pairs:
         if not (0 <= a < size and 0 <= b < size):
             raise LatticeError(f"order pair ({a},{b}) out of range for size {size}")
-        leq[a][b] = True
+        up[a] |= 1 << b
     # Warshall closure
     for k in range(size):
-        row_k = leq[k]
         for i in range(size):
-            if leq[i][k]:
-                row_i = leq[i]
-                for j in range(size):
-                    if row_k[j]:
-                        row_i[j] = True
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    down = [sum(1 << a for a in range(size) if up[a] >> b & 1) for b in range(size)]
     for a in range(size):
-        for b in range(a + 1, size):
-            if leq[a][b] and leq[b][a]:
-                raise NotAPartialOrder(f"cycle through elements {a} and {b}")
+        above = up[a] & down[a] & -(2 << a)  # elements b > a with a <= b <= a
+        if above:
+            b = (above & -above).bit_length() - 1
+            raise NotAPartialOrder(f"cycle through elements {a} and {b}")
 
+    # a bound is the element whose down-set (up-set) is the intersection
+    by_down = {mask: x for x, mask in enumerate(down)}
+    by_up = {mask: x for x, mask in enumerate(up)}
     meet_table = [[0] * size for _ in range(size)]
     join_table = [[0] * size for _ in range(size)]
     for a in range(size):
         for b in range(size):
-            lower = [x for x in range(size) if leq[x][a] and leq[x][b]]
-            glb = [x for x in lower if all(leq[y][x] for y in lower)]
-            if len(glb) != 1:
+            glb = by_down.get(down[a] & down[b])
+            if glb is None:
                 raise NotALattice((a, b), "meet")
-            meet_table[a][b] = glb[0]
-            upper = [x for x in range(size) if leq[a][x] and leq[b][x]]
-            lub = [x for x in upper if all(leq[x][y] for y in upper)]
-            if len(lub) != 1:
+            lub = by_up.get(up[a] & up[b])
+            if lub is None:
                 raise NotALattice((a, b), "join")
-            join_table[a][b] = lub[0]
+            meet_table[a][b] = glb
+            join_table[a][b] = lub
 
-    bottom = 0
-    for x in range(size):
-        bottom = meet_table[bottom][x]
-    top = 0
-    for x in range(size):
-        top = join_table[top][x]
-    atoms = tuple(
-        x for x in range(size)
-        if x != bottom and leq[bottom][x]
-        and not any(y != bottom and y != x and leq[y][x] for y in range(size) if leq[bottom][y])
-    )
+    everything = (1 << size) - 1
+    bottom = by_up[everything]
     return FiniteLattice(
         size=size,
-        leq=tuple(tuple(row) for row in leq),
+        leq=tuple(tuple(bool(up[a] >> b & 1) for b in range(size)) for a in range(size)),
         meet_table=tuple(tuple(row) for row in meet_table),
         join_table=tuple(tuple(row) for row in join_table),
         bottom=bottom,
-        top=top,
-        atoms=atoms,
+        top=by_down[everything],
+        atoms=tuple(x for x in range(size) if down[x] & ~(1 << x) == 1 << bottom),
     )
 
 

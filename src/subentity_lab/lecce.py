@@ -13,7 +13,7 @@ extension inclusion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import NotALattice, build_lattice
@@ -203,10 +203,7 @@ def build_lecce_sps(w):
     a state property system are checked honestly.
     """
     report = []
-    val = validate_world(w)
-    if not val.ok:
-        raise WorldInvalid("frequencies differ across laboratories")
-    states = partition_states(w)
+    states = partition_states(w)  # validates the world, raising WorldInvalid
     props, freq_only = partition_effects(w)
     if freq_only:
         report.append(f"frequency-equivalent but extension-distinct pairs: {freq_only}")

@@ -270,6 +270,8 @@ def _parse_hilbert_body(doc, by_name):
         raise ModelSchemaError("matrix", "hilbert document needs at least one matrix")
     for name, M in matrices.items():
         _validate_matrix_role(name, M)
+        if dims is not None:
+            _check_dims(name, M, dims)
     doc.body["dims"] = dims
     doc.body["matrices"] = matrices
 
@@ -297,6 +299,20 @@ def _validate_matrix_role(name, M):
             check_unitary(M)
     except HilbertError as exc:
         raise ModelSchemaError("matrix", f"{name}: {exc}")
+
+
+def _check_dims(name, M, dims):
+    """With [dims] dA dB, psi*, W* and U* live on the dA*dB space, P* on factor A."""
+    dA, dB = dims
+    if name.startswith(("psi", "W", "U")):
+        want = dA * dB
+    elif name.startswith("P"):
+        want = dA
+    else:
+        return
+    if M.shape[0] != want:
+        raise ModelSchemaError("dims", f"{name} has dimension {M.shape[0]}, "
+                                       f"[dims] {dA} {dB} needs {want}")
 
 
 def _parse_labworld_body(doc, by_name):

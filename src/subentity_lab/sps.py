@@ -9,7 +9,7 @@ such a system from density operators and projections via the Born rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,18 +47,18 @@ class StatePropertySystem:
     xi: tuple  # per state, frozenset of actual property indices
     kappa: tuple  # per property, frozenset of state indices
 
-    def actual(self, p, a):
-        return a in self.xi[p]
-
 
 def build_sps(lattice, num_states, actuality):
     """Construct and verify a state property system from a boolean table.
 
     actuality[p][a] says whether property a is actual in state p.  The
     kappa columns are derived from the rows, so duality holds by
-    construction; the top/bottom condition and meet closure (checked on
-    all pairs, both directions, plus the full family) are verified and
-    violations raised.
+    construction; the top/bottom condition and meet closure are verified
+    and violations raised.  Meet closure (a meet is actual iff every
+    member is) holds for a finite actual-property set exactly when the set
+    is the principal filter of its own meet m, so a violation names either
+    the whole set (m is not actual) or the pair (m, x) for the first x
+    above m that is not actual.
     """
     if len(actuality) != num_states or any(len(row) != lattice.size for row in actuality):
         raise SPSError("actuality table dimensions do not match")
@@ -68,18 +68,12 @@ def build_sps(lattice, num_states, actuality):
             raise Def1TopBottomViolation(p, "top property is not actual")
         if lattice.bottom in xi[p]:
             raise Def1TopBottomViolation(p, "bottom property is actual")
-        for a in xi[p]:
-            for b in xi[p]:
-                m = lattice.meet_table[a][b]
-                if m not in xi[p]:
-                    raise Def1MeetClosureViolation(p, (a, b))
-        for a in range(lattice.size):
-            for b in range(lattice.size):
-                m = lattice.meet_table[a][b]
-                if m in xi[p] and not (a in xi[p] and b in xi[p]):
-                    raise Def1MeetClosureViolation(p, (a, b))
-        if meet(lattice, xi[p]) not in xi[p]:
-            raise Def1MeetClosureViolation(p, tuple(sorted(xi[p])))
+        m = meet(lattice, xi[p])
+        if m not in xi[p]:
+            raise Def1MeetClosureViolation(p, sorted(xi[p]))
+        for x in range(lattice.size):
+            if lattice.leq[m][x] and x not in xi[p]:
+                raise Def1MeetClosureViolation(p, (m, x))
     kappa = tuple(
         frozenset(p for p in range(num_states) if a in xi[p]) for a in range(lattice.size)
     )

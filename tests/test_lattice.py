@@ -1,6 +1,8 @@
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subentity_lab.lattice import (
     EmptyInterval,
@@ -54,6 +56,82 @@ def test_pentagon_is_lattice_and_two_minimal_upper_bounds_is_not():
 def test_cycle_rejected():
     with pytest.raises(NotAPartialOrder):
         build_lattice(3, [(0, 1), (1, 2), (2, 0)])
+
+
+@st.composite
+def presentations(draw):
+    """Random (size, pairs); some acyclic, some with a forced bottom and top."""
+    size = draw(st.integers(1, 7))
+    node = st.integers(0, size - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=12))
+    if draw(st.booleans()):
+        pairs = [(a, b) for a, b in pairs if a < b]
+    if draw(st.booleans()):
+        pairs += [(0, x) for x in range(size)] + [(x, size - 1) for x in range(size)]
+    return size, pairs
+
+
+def brute_lattice(size, pairs):
+    """Expected tables, or the exception build_lattice must raise.
+
+    Closes the pairs by repeated composition, looks for the first
+    row-major cycle, then for the first row-major pair whose lower (upper)
+    bounds have no greatest (least) element, meet before join.
+    """
+    leq = {(a, a) for a in range(size)} | set(pairs)
+    while True:
+        more = {(a, c) for a, b in leq for b2, c in leq if b == b2} - leq
+        if not more:
+            break
+        leq |= more
+    for a in range(size):
+        for b in range(a + 1, size):
+            if (a, b) in leq and (b, a) in leq:
+                return NotAPartialOrder(f"cycle through elements {a} and {b}")
+
+    def greatest(xs, le):
+        best = [x for x in xs if all(le(y, x) for y in xs)]
+        return best[0] if len(best) == 1 else None
+
+    def le(x, y):
+        return (x, y) in leq
+
+    def ge(x, y):
+        return (y, x) in leq
+
+    meets, joins = {}, {}
+    for a in range(size):
+        for b in range(size):
+            meets[a, b] = greatest([x for x in range(size) if le(x, a) and le(x, b)], le)
+            if meets[a, b] is None:
+                return NotALattice((a, b), "meet")
+            joins[a, b] = greatest([x for x in range(size) if ge(x, a) and ge(x, b)], ge)
+            if joins[a, b] is None:
+                return NotALattice((a, b), "join")
+    bottom = greatest(range(size), ge)
+    atoms = tuple(x for x in range(size)
+                  if x != bottom and all(y in (bottom, x) for y in range(size) if le(y, x)))
+    return {
+        "leq": tuple(tuple(le(a, b) for b in range(size)) for a in range(size)),
+        "meet_table": tuple(tuple(meets[a, b] for b in range(size)) for a in range(size)),
+        "join_table": tuple(tuple(joins[a, b] for b in range(size)) for a in range(size)),
+        "bottom": bottom,
+        "top": greatest(range(size), le),
+        "atoms": atoms,
+    }
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(presentations())
+def test_build_lattice_against_bruteforce(presentation):
+    expected = brute_lattice(*presentation)
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as exc:
+            build_lattice(*presentation)
+        assert str(exc.value) == str(expected)
+        return
+    L = build_lattice(*presentation)
+    assert {key: getattr(L, key) for key in expected} == expected
 
 
 def test_meet_join_examples():

@@ -89,6 +89,10 @@ W_GAP = ("[meta]\nkind = hilbert\n\n[dims]\n1 2\n\n"
 U_GAP = ("[meta]\nkind = hilbert\n\n[dims]\n1 2\n\n"
          "[matrix U 2 2]\n1.00000002 0\n0 1\n\n[matrix psi 2 1]\n1\n0\n")
 W_EMPTY = "[meta]\nkind = hilbert\n\n[dims]\n1 1\n\n[matrix W 0 0]\n"
+# fixtures whose [dims] no longer fit their matrices: psi on 4 != 2*3, P* on 2 != 4
+ASYM_2X3 = (FIXTURES / "asym.hilbert").read_text().replace("[dims]\n2 2", "[dims]\n2 3")
+MODEL_4X1 = (FIXTURES / "bell_completed.model").read_text().replace("[dims]\n2 2",
+                                                                    "[dims]\n4 1")
 
 
 def test_content_before_section_is_syntax_error():
@@ -128,6 +132,8 @@ def test_comments_and_blank_lines_ignored():
     (U_GAP, "matrix"),
     (W_EMPTY, "matrix"),
     ("[meta]\nkind = hilbert\n[matrix U 0 0]\n", "matrix"),
+    pytest.param(ASYM_2X3, "dims", id="psi-4-dims-2x3"),
+    pytest.param(MODEL_4X1, "dims", id="P-2-dims-4x1"),
 ])
 def test_schema_errors(text, section):
     with pytest.raises(ModelSchemaError) as exc:
@@ -318,6 +324,9 @@ def test_cli_out_flag(tmp_path):
     (W_GAP, ["decompose", "--parts", "2"]),
     (U_GAP, ["evolve"]),
     (W_EMPTY, ["ptrace"]),
+    pytest.param(ASYM_2X3, ["schmidt"], id="schmidt-dims-2x3"),
+    pytest.param(ASYM_2X3, ["ptrace"], id="ptrace-dims-2x3"),
+    pytest.param(MODEL_4X1, ["subentity-quantum"], id="subentity-quantum-dims-4x1"),
 ])
 def test_cli_rejects_unusable_matrix_as_input_error(tmp_path, text, argv):
     path = tmp_path / "probe.hilbert"
@@ -328,7 +337,9 @@ def test_cli_rejects_unusable_matrix_as_input_error(tmp_path, text, argv):
 
 
 def test_cli_refuses_eps_where_unused():
-    assert cli("check-axioms", fx("boolean_square.sps"), "--eps", "1e-6")[0] == 2
+    code, out, err = cli("check-axioms", fx("boolean_square.sps"), "--eps", "1e-6")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --eps" in err
 
 
 def test_cli_eps_env_and_flag(monkeypatch):
@@ -341,4 +352,6 @@ def test_cli_eps_env_and_flag(monkeypatch):
                        "--eps", "1e-9")
     assert json.loads(out)["verdicts"][0]["nonunitary_reduction"] is True
     monkeypatch.setenv("SUBENTITY_LAB_EPS", "not-a-number")
-    assert cli("evolve", fx("cnot_evolve.hilbert"))[0] == 2
+    code, out, err = cli("evolve", fx("cnot_evolve.hilbert"))
+    assert code == 2 and out == ""
+    assert "argument --eps: invalid float value: 'not-a-number'" in err

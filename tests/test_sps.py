@@ -32,6 +32,10 @@ def test_meet_closure_violation():
         build_sps(L, 1, [[False, True, True, True]])
     assert exc.value.state == 0
     assert set(exc.value.family) <= {1, 2, 3}
+    # meet-closed but not upward closed: 1 <= 2 with 1 actual and 2 not
+    with pytest.raises(Def1MeetClosureViolation) as exc:
+        build_sps(chain(4), 1, [[False, True, False, True]])
+    assert exc.value.family == (1, 2)
 
 
 def test_top_bottom_violations():
