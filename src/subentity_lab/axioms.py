@@ -115,7 +115,10 @@ def orthocomplementations(L):
 
 def check_orthocomplementation(S):
     """Exhaustive search for an orthocomplementation on the property lattice."""
-    witnesses = orthocomplementations(S.lattice)
+    return _orthocomplementation_verdict(orthocomplementations(S.lattice))
+
+
+def _orthocomplementation_verdict(witnesses):
     if witnesses:
         return AxiomVerdict("orthocomplementation", True, witness=witnesses[0],
                             note=f"{len(witnesses)} orthocomplementation(s) exist")
@@ -160,22 +163,17 @@ def check_weak_modularity(S, comp=None):
 def check_plane_transitivity(S):
     """Every ordered atom pair needs an automorphism fixing some [0, s1 v s2]."""
     L = S.lattice
-    autos = automorphisms(L)
     atom_pairs = [(s1, s2) for s1 in L.atoms for s2 in L.atoms if s1 != s2]
+    planes = {interval(L, L.bottom, L.join_table[s1][s2]) for s1, s2 in atom_pairs}
+    # (s, t) such that some automorphism maps s to t and fixes a plane pointwise
+    witnessed = set()
+    for f in automorphisms(L):
+        fixed = {a for a in range(L.size) if f(a) == a}
+        if any(plane <= fixed for plane in planes):
+            witnessed.update((s, f(s)) for s in L.atoms)
     for s in L.atoms:
         for t in L.atoms:
-            witness = None
-            for f in autos:
-                if f(s) != t:
-                    continue
-                for s1, s2 in atom_pairs:
-                    iv = interval(L, L.bottom, L.join_table[s1][s2])
-                    if all(f(a) == a for a in iv):
-                        witness = (f.assignment, (s1, s2))
-                        break
-                if witness:
-                    break
-            if witness is None:
+            if (s, t) not in witnessed:
                 return AxiomVerdict(
                     "plane_transitivity", False, counterexample=(s, t),
                     note=f"no automorphism maps atom {s} to {t} while fixing an atom-pair interval")
@@ -259,10 +257,8 @@ def run_battery(S):
     instead of picking a side.
     """
     verdicts = [check_state_determination(S), check_atomicity(S)]
-    ortho = check_orthocomplementation(S)
-    verdicts.append(ortho)
-    verdicts.append(check_covering_law(S))
-    witnesses = orthocomplementations(S.lattice) if ortho.passed else []
+    witnesses = orthocomplementations(S.lattice)
+    verdicts += [_orthocomplementation_verdict(witnesses), check_covering_law(S)]
 
     def comp_dependent(name, checker, decider):
         if not witnesses:

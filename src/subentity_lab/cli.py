@@ -235,14 +235,15 @@ def _cmd_lecce_build(args):
     _want(doc, args.file, "labworld")
     w = doc.body["world"]
     rep = Report("lecce-build", digest)
-    val = lecce.validate_world(w)
-    if not val.ok:
+    try:
+        build = lecce.build_lecce_sps(w)
+    except lecce.WorldInvalid as exc:
+        violations = exc.validation.violations
         rep.verdicts.append({"built": False,
-                             "violations": [[str(x) for x in v] for v in val.violations]})
-        for v in val.violations:
+                             "violations": [[str(x) for x in v] for v in violations]})
+        for v in violations:
             rep.human_lines.append(f"  frequency mismatch: {v}")
         return rep, 1
-    build = lecce.build_lecce_sps(w)
     rep.verdicts.append({
         "built": build.sps is not None,
         "num_states": len(build.states),

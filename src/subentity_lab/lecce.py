@@ -3,16 +3,17 @@
 A LabWorld is a toy universe of laboratories, each with a roster of
 physical objects tagged with the preparing device that produced them and
 a counterfactual yes/no outcome for every registering device.  Limits of
-frequencies are modeled as exact rational fractions over the finite
-rosters, required equal across laboratories.  States are equivalence
-classes of preparing devices (equal frequency rows), properties are
-classes of ideal registering devices (equal extensions across labs), and
-the certainly-true / certainly-yes domains are the dual maps built from
-extension inclusion.
+frequencies are exact rational fractions over the finite rosters, which
+are tallied once per world and required equal across laboratories.
+States are equivalence classes of preparing devices (equal frequency
+rows), properties are classes of ideal registering devices (equal
+extensions across labs), and the certainly-true / certainly-yes domains
+are the dual maps built from extension inclusion.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +27,10 @@ class LecceError(Exception):
 
 class WorldInvalid(LecceError):
     """The world failed cross-laboratory frequency validation."""
+
+    def __init__(self, validation):
+        self.validation = validation  # the WorldValidation listing the violations
+        super().__init__("frequencies differ across laboratories")
 
 
 @dataclass(frozen=True)
@@ -49,13 +54,6 @@ class LabWorld:
             return tuple(self.domains[lab])
         return tuple(o.name for o in self.objects[lab])
 
-    def prep_extension(self, lab, preparer):
-        return frozenset(o.name for o in self.objects[lab] if o.preparer == preparer)
-
-    def reg_extension(self, lab, register):
-        return frozenset(
-            o.name for o in self.objects[lab] if dict(o.outcomes).get(register, False))
-
 
 @dataclass(frozen=True)
 class OperationalState:
@@ -77,47 +75,77 @@ class WorldValidation:
     violations: tuple  # (preparer, register, lab1, lab2, freq1, freq2)
 
 
-def _frequency(w, lab, preparer, register):
-    ext = w.prep_extension(lab, preparer)
-    if not ext:
-        raise LecceError(f"preparer {preparer} has empty extension in lab {lab}")
-    yes = ext & w.reg_extension(lab, register)
-    return Fraction(len(yes), len(ext))
+def _tally(w):
+    """Read each lab's roster once and check the frequencies across labs.
+
+    Returns (preps, yes, rows, validation).  The first three are keyed by
+    lab: the extension of every preparer, the yes-extension of every
+    register (frozensets of object names), and every preparer's frequency
+    row over w.registerers.
+    """
+    preps, yes = {}, {}
+    for lab in w.labs:
+        by_prep, by_reg = defaultdict(set), defaultdict(set)
+        for o in w.objects[lab]:
+            by_prep[o.preparer].add(o.name)
+            for r, answer in dict(o.outcomes).items():
+                if answer:
+                    by_reg[r].add(o.name)
+        preps[lab] = {pi: frozenset(by_prep[pi]) for pi in w.preparers}
+        yes[lab] = {r: frozenset(by_reg[r]) for r in w.registerers}
+    empty = [(pi, lab) for pi in w.preparers for lab in w.labs if not preps[lab][pi]]
+    if empty and w.registerers:
+        raise LecceError("preparer {} has empty extension in lab {}".format(*empty[0]))
+    rows = {lab: {pi: tuple(Fraction(len(ext & yes[lab][r]), len(ext)) for r in w.registerers)
+                  for pi, ext in preps[lab].items()} for lab in w.labs}
+    ref = w.labs[0]
+    violations = tuple(
+        (pi, r, ref, lab, rows[ref][pi][j], rows[lab][pi][j])
+        for pi in w.preparers for j, r in enumerate(w.registerers) for lab in w.labs[1:]
+        if rows[lab][pi][j] != rows[ref][pi][j])
+    return preps, yes, rows, WorldValidation(ok=not violations, violations=violations)
 
 
 def validate_world(w):
     """Cross-lab check: each (preparer, register) frequency must agree everywhere."""
-    violations = []
-    ref_lab = w.labs[0]
+    return _tally(w)[3]
+
+
+def _valid_tally(w):
+    *tally, validation = _tally(w)
+    if not validation.ok:
+        raise WorldInvalid(validation)
+    return tally
+
+
+def _states(w, preps, yes, rows):
+    groups = {}
     for pi in w.preparers:
-        for r in w.registerers:
-            ref = _frequency(w, ref_lab, pi, r)
-            for lab in w.labs[1:]:
-                f = _frequency(w, lab, pi, r)
-                if f != ref:
-                    violations.append((pi, r, ref_lab, lab, ref, f))
-    return WorldValidation(ok=not violations, violations=tuple(violations))
-
-
-def _freq_row(w, preparer):
-    return tuple(_frequency(w, w.labs[0], preparer, r) for r in w.registerers)
+        groups.setdefault(rows[w.labs[0]][pi], []).append(pi)
+    return [OperationalState(id=i, member_devices=frozenset(members), extensions={
+                lab: frozenset().union(*(preps[lab][pi] for pi in members)) for lab in w.labs})
+            for i, members in enumerate(sorted(groups.values()))]
 
 
 def partition_states(w):
     """Group preparing devices by equality of their full frequency row."""
-    if not validate_world(w).ok:
-        raise WorldInvalid("frequencies differ across laboratories")
+    return _states(w, *_valid_tally(w))
+
+
+def _effects(w, preps, yes, rows):
+    ideal = [r for r in w.registerers if r in w.ideal]
+    ext_key = {r: tuple(yes[lab][r] for lab in w.labs) for r in ideal}
     groups = {}
-    for pi in w.preparers:
-        groups.setdefault(_freq_row(w, pi), []).append(pi)
-    states = []
-    for i, (_, members) in enumerate(sorted(groups.items(), key=lambda kv: kv[1][0])):
-        exts = {
-            lab: frozenset().union(*(w.prep_extension(lab, pi) for pi in members))
-            for lab in w.labs
-        }
-        states.append(OperationalState(id=i, member_devices=frozenset(members), extensions=exts))
-    return states
+    for r in ideal:
+        groups.setdefault(ext_key[r], []).append(r)
+    props = [OperationalProperty(id=i, member_devices=frozenset(members),
+                                 extensions={lab: yes[lab][members[0]] for lab in w.labs})
+             for i, members in enumerate(sorted(groups.values()))]
+    # validated labs agree, so the reference lab's columns decide frequency equivalence
+    column = {r: tuple(rows[w.labs[0]][pi][j] for pi in w.preparers)
+              for j, r in enumerate(w.registerers) if r in w.ideal}
+    return props, tuple((r1, r2) for i, r1 in enumerate(ideal) for r2 in ideal[i + 1:]
+                        if column[r1] == column[r2] and ext_key[r1] != ext_key[r2])
 
 
 def partition_effects(w):
@@ -127,30 +155,7 @@ def partition_effects(w):
     preparer yet have distinct extensions (the converse implication that
     does not hold a priori).
     """
-    if not validate_world(w).ok:
-        raise WorldInvalid("frequencies differ across laboratories")
-    ideal = [r for r in w.registerers if r in w.ideal]
-    groups = {}
-    for r in ideal:
-        key = tuple(sorted(w.reg_extension(lab, r)) for lab in w.labs)
-        groups.setdefault(tuple(map(tuple, key)), []).append(r)
-    props = []
-    for i, (_, members) in enumerate(sorted(groups.items(), key=lambda kv: kv[1][0])):
-        exts = {lab: w.reg_extension(lab, members[0]) for lab in w.labs}
-        props.append(OperationalProperty(id=i, member_devices=frozenset(members), extensions=exts))
-    freq_only_pairs = []
-    for i, r1 in enumerate(ideal):
-        for r2 in ideal[i + 1:]:
-            same_freq = all(
-                _frequency(w, lab, pi, r1) == _frequency(w, lab, pi, r2)
-                for lab in w.labs for pi in w.preparers
-            )
-            same_ext = all(
-                w.reg_extension(lab, r1) == w.reg_extension(lab, r2) for lab in w.labs
-            )
-            if same_freq and not same_ext:
-                freq_only_pairs.append((r1, r2))
-    return props, tuple(freq_only_pairs)
+    return _effects(w, *_valid_tally(w))
 
 
 def certainly_domains(states, properties, labs):
@@ -203,8 +208,9 @@ def build_lecce_sps(w):
     a state property system are checked honestly.
     """
     report = []
-    states = partition_states(w)  # validates the world, raising WorldInvalid
-    props, freq_only = partition_effects(w)
+    tally = _valid_tally(w)
+    states = _states(w, *tally)
+    props, freq_only = _effects(w, *tally)
     if freq_only:
         report.append(f"frequency-equivalent but extension-distinct pairs: {freq_only}")
     _, s_y = certainly_domains(states, props, w.labs)
@@ -222,27 +228,20 @@ def build_lecce_sps(w):
         report.append("synthetic top added (no property certain in every state)")
     ordered = sorted(classes.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
     carriers = [k for k, _ in ordered]
-    pairs = [
-        (i, j)
-        for i in range(len(carriers))
-        for j in range(len(carriers))
-        if i != j and carriers[i] <= carriers[j]
-    ]
+    pairs = [(i, j) for i, ci in enumerate(carriers) for j, cj in enumerate(carriers)
+             if i != j and ci <= cj]
+    sps = None
     try:
         lat = build_lattice(len(carriers), pairs)
     except NotALattice as exc:
         report.append(f"property order is not a lattice: {exc}")
-        return LecceBuild(None, tuple(states), tuple(props),
-                          tuple(frozenset(v) for _, v in ordered), tuple(report))
-    actuality = [
-        [S.id in carriers[c] for c in range(len(carriers))] for S in states
-    ]
-    try:
-        sps = build_sps(lat, len(states), actuality)
-    except SPSError as exc:
-        report.append(f"state property conditions fail: {exc}")
-        return LecceBuild(None, tuple(states), tuple(props),
-                          tuple(frozenset(v) for _, v in ordered), tuple(report))
-    report.append("state property conditions (top/bottom, meet closure) verified")
+    else:
+        actuality = [[S.id in c for c in carriers] for S in states]
+        try:
+            sps = build_sps(lat, len(states), actuality)
+        except SPSError as exc:
+            report.append(f"state property conditions fail: {exc}")
+        else:
+            report.append("state property conditions (top/bottom, meet closure) verified")
     return LecceBuild(sps, tuple(states), tuple(props),
                       tuple(frozenset(v) for _, v in ordered), tuple(report))

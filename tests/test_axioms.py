@@ -22,7 +22,7 @@ from subentity_lab.axioms import (
     orthocomplementations,
     run_battery,
 )
-from subentity_lab.lattice import interval, join, meet
+from subentity_lab.lattice import build_lattice, interval, join, meet
 from subentity_lab.sps import atomic_sps, build_sps
 
 from conftest import CORPUS, boolean_square, chain, covering_fail, mo2, n5, o6
@@ -200,8 +200,20 @@ def test_infinite_length_reports_family_size():
 
 
 def test_plane_transitivity_examples():
-    assert not check_plane_transitivity(atomic_sps(boolean_square())).passed
+    v = check_plane_transitivity(atomic_sps(boolean_square()))
+    assert not v.passed and v.counterexample == (1, 2)
+    assert v.note == "no automorphism maps atom 1 to 2 while fixing an atom-pair interval"
     assert not check_plane_transitivity(atomic_sps(mo2())).passed
+
+
+def test_plane_transitivity_passes_on_boolean_2_4():
+    # element a is the bitmask of its atoms; the transposition (s t) fixes
+    # the plane of the other two atoms pointwise
+    b4 = build_lattice(16, [(a, a | 1 << i) for a in range(16) for i in range(4)
+                            if not a >> i & 1])
+    v = check_plane_transitivity(atomic_sps(b4))
+    assert v.passed and v.counterexample is None
+    assert v.note == "every ordered atom pair witnessed"
 
 
 def test_battery_order_and_boolean_square_vector():

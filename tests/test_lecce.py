@@ -1,16 +1,21 @@
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subentity_lab.lecce import (
     LabObject,
     LabWorld,
+    LecceError,
     WorldInvalid,
     build_lecce_sps,
     certainly_domains,
     check_partition_property,
     partition_effects,
     partition_states,
+    WorldValidation,
     validate_world,
 )
 from subentity_lab.modelio import parse_model
@@ -56,8 +61,9 @@ def test_mismatch_world_flagged():
     assert f1 != f2
     with pytest.raises(WorldInvalid):
         partition_states(w)
-    with pytest.raises(WorldInvalid):
+    with pytest.raises(WorldInvalid) as exc:
         build_lecce_sps(w)
+    assert exc.value.validation == val
 
 
 # --- partitions -----------------------------------------------------------
@@ -162,6 +168,28 @@ def test_build_lecce_sps_synthetic_elements():
     assert any("synthetic top" in line for line in build.report)
 
 
+def test_build_lecce_sps_reports_failed_conditions():
+    def one_object_per_preparer(answers, regs):
+        rows = {"j": [(f"x{pi}", pi, dict(zip(regs, out))) for pi, out in answers.items()]}
+        return make_world(["j"], list(answers), regs, regs, rows)
+
+    # certainly-yes carriers {a}, {b}, {a,b,x}, {a,b,y}: {a} v {b} has no least bound
+    build = build_lecce_sps(one_object_per_preparer(
+        {"pa": (1, 0, 1, 1), "pb": (0, 1, 1, 1), "px": (0, 0, 1, 0), "py": (0, 0, 0, 1)},
+        ["ra", "rb", "rx", "ry"]))
+    assert build.sps is None
+    assert build.report[-1] == (
+        "property order is not a lattice: no unique join for element pair (1, 2)")
+    assert len(build.property_classes) == 6
+    # carriers {a,b} and {a,c} meet in the synthetic bottom, which state a lacks
+    build = build_lecce_sps(one_object_per_preparer(
+        {"pa": (1, 1), "pb": (1, 0), "pc": (0, 1)}, ["r1", "r2"]))
+    assert build.sps is None
+    assert build.report[-1] == (
+        "state property conditions fail: state 0: meet closure fails on family (1, 2, 3)")
+    assert build.property_classes == (frozenset(), frozenset({0}), frozenset({1}), frozenset())
+
+
 def test_sps_preorder_matches_certainly_true_inclusion():
     w = two_lab_world()
     build = build_lecce_sps(w)
@@ -187,3 +215,172 @@ def test_relabeling_invariance():
     assert a.sps.lattice.leq == b.sps.lattice.leq
     assert a.sps.xi == b.sps.xi
     assert [S.member_devices for S in a.states] == [S.member_devices for S in b.states]
+
+
+# --- brute-force oracle ---------------------------------------------------
+# Every frequency is recomputed from the roster for each (lab, preparer,
+# register) on each use; the library tallies each roster once.
+
+
+def oracle_prep_extension(w, lab, preparer):
+    return frozenset(o.name for o in w.objects[lab] if o.preparer == preparer)
+
+
+def oracle_reg_extension(w, lab, register):
+    return frozenset(o.name for o in w.objects[lab] if dict(o.outcomes).get(register, False))
+
+
+def oracle_frequency(w, lab, preparer, register):
+    ext = oracle_prep_extension(w, lab, preparer)
+    if not ext:
+        raise LecceError(f"preparer {preparer} has empty extension in lab {lab}")
+    return Fraction(len(ext & oracle_reg_extension(w, lab, register)), len(ext))
+
+
+def oracle_validate(w):
+    violations = []
+    ref_lab = w.labs[0]
+    for pi in w.preparers:
+        for r in w.registerers:
+            ref = oracle_frequency(w, ref_lab, pi, r)
+            for lab in w.labs[1:]:
+                f = oracle_frequency(w, lab, pi, r)
+                if f != ref:
+                    violations.append((pi, r, ref_lab, lab, ref, f))
+    return tuple(violations)
+
+
+def oracle_require_valid(w):
+    violations = oracle_validate(w)
+    if violations:
+        raise WorldInvalid(WorldValidation(ok=False, violations=violations))
+
+
+def oracle_states(w):
+    oracle_require_valid(w)
+    groups = {}
+    for pi in w.preparers:
+        row = tuple(oracle_frequency(w, w.labs[0], pi, r) for r in w.registerers)
+        groups.setdefault(row, []).append(pi)
+    states = []
+    for i, (_, members) in enumerate(sorted(groups.items(), key=lambda kv: kv[1][0])):
+        exts = {lab: frozenset().union(*(oracle_prep_extension(w, lab, pi) for pi in members))
+                for lab in w.labs}
+        states.append((i, frozenset(members), exts))
+    return states
+
+
+def oracle_effects(w):
+    oracle_require_valid(w)
+    ideal = [r for r in w.registerers if r in w.ideal]
+    groups = {}
+    for r in ideal:
+        key = tuple(tuple(sorted(oracle_reg_extension(w, lab, r))) for lab in w.labs)
+        groups.setdefault(key, []).append(r)
+    props = []
+    for i, (_, members) in enumerate(sorted(groups.items(), key=lambda kv: kv[1][0])):
+        exts = {lab: oracle_reg_extension(w, lab, members[0]) for lab in w.labs}
+        props.append((i, frozenset(members), exts))
+    pairs = []
+    for i, r1 in enumerate(ideal):
+        for r2 in ideal[i + 1:]:
+            same_freq = all(oracle_frequency(w, lab, pi, r1) == oracle_frequency(w, lab, pi, r2)
+                            for lab in w.labs for pi in w.preparers)
+            same_ext = all(oracle_reg_extension(w, lab, r1) == oracle_reg_extension(w, lab, r2)
+                           for lab in w.labs)
+            if same_freq and not same_ext:
+                pairs.append((r1, r2))
+    return props, tuple(pairs)
+
+
+def outcome(fn, w):
+    """fn(w), or the raised LecceError as (type, message, validation)."""
+    try:
+        return fn(w)
+    except LecceError as exc:
+        return type(exc), str(exc), getattr(exc, "validation", None)
+
+
+def fields(classes):
+    return [(c.id, c.member_devices, c.extensions) for c in classes]
+
+
+@st.composite
+def lab_worlds(draw):
+    """1-3 labs, 1-4 preparers, 1-4 registers, random ideal flags and outcomes.
+
+    Labs share one shuffled roster (so frequencies agree) unless the world
+    is skewed (one outcome flipped in the last lab), drawn per lab, or
+    missing one preparer's objects in every lab.  Devices are listed in a
+    drawn order.
+    """
+    labs = [f"j{i}" for i in range(draw(st.integers(1, 3)))]
+    preps = [f"p{i}" for i in range(draw(st.integers(1, 4)))]
+    regs = [f"r{i}" for i in range(draw(st.integers(1, 4)))]
+    ideal = draw(st.sets(st.sampled_from(regs)))
+    answers = st.lists(st.booleans(), min_size=len(regs), max_size=len(regs))
+
+    def roster():
+        extra = draw(st.lists(st.tuples(st.sampled_from(preps), answers), max_size=5))
+        return [(pi, draw(answers)) for pi in preps] + extra
+
+    mode = draw(st.sampled_from(["shared", "skewed", "per-lab", "missing"]))
+    shared = roster()
+    if len(regs) > 1 and draw(st.booleans()):
+        # r1 answers as r0 does on the preparer's next object: same frequencies,
+        # often a different extension
+        ideal |= {"r0", "r1"}
+        for pi in preps:
+            mine = [out for p, out in shared if p == pi]
+            for out, nxt in zip(mine, mine[1:] + mine[:1]):
+                out[1] = nxt[0]
+    rows = {}
+    for lab in labs:
+        own = draw(st.permutations(roster() if mode == "per-lab" else shared))
+        rows[lab] = [[pi, list(out)] for pi, out in own]
+    if mode == "skewed":
+        row = draw(st.sampled_from(rows[labs[-1]]))
+        k = draw(st.integers(0, len(regs) - 1))
+        row[1][k] = not row[1][k]
+    if mode == "missing":  # lab i loses the objects of preparer offset + i
+        offset = draw(st.integers(0, len(preps) - 1))
+        for i, lab in enumerate(labs):
+            gone = preps[(offset + i) % len(preps)]
+            rows[lab] = [row for row in rows[lab] if row[0] != gone]
+    listed_preps, listed_regs = draw(st.permutations(preps)), draw(st.permutations(regs))
+    return make_world(labs, listed_preps, listed_regs, ideal, {
+        lab: [(f"{lab}o{k}", pi, dict(zip(regs, out))) for k, (pi, out) in enumerate(rows[lab])]
+        for lab in labs
+    })
+
+
+def oracle_build(w):
+    props, pairs = oracle_effects(w)
+    pairs_line = [f"frequency-equivalent but extension-distinct pairs: {pairs}"] if pairs else []
+    return oracle_states(w), props, pairs_line
+
+
+def validation_view(w):
+    val = validate_world(w)
+    assert val.ok == (not val.violations)
+    return val.violations
+
+
+def effects_view(w):
+    props, pairs = partition_effects(w)
+    return fields(props), pairs
+
+
+def build_view(w):
+    build = build_lecce_sps(w)
+    pairs_line = [line for line in build.report if line.startswith("frequency-equivalent")]
+    return fields(build.states), fields(build.properties), pairs_line
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(lab_worlds())
+def test_lecce_against_oracle(w):
+    assert outcome(validation_view, w) == outcome(oracle_validate, w)
+    assert outcome(lambda w: fields(partition_states(w)), w) == outcome(oracle_states, w)
+    assert outcome(effects_view, w) == outcome(oracle_effects, w)
+    assert outcome(build_view, w) == outcome(oracle_build, w)

@@ -283,7 +283,20 @@ def test_cli_subentity_quantum():
 
 def test_cli_lecce_build():
     assert cli("lecce-build", fx("two_labs.labworld"))[0] == 0
-    assert cli("lecce-build", fx("two_labs_mismatch.labworld"))[0] == 1
+    code, out, _ = cli("lecce-build", fx("two_labs_mismatch.labworld"), "--format", "machine")
+    assert code == 1
+    assert json.loads(out)["verdicts"] == [
+        {"built": False, "violations": [["p1", "r2", "j1", "j2", "1/2", "1"]]}]
+
+
+def test_cli_lecce_build_tallies_the_world_once(monkeypatch):
+    from subentity_lab import lecce
+
+    calls = []
+    tally = lecce._tally
+    monkeypatch.setattr(lecce, "_tally", lambda w: calls.append(w) or tally(w))
+    assert cli("lecce-build", fx("two_labs.labworld"))[0] == 0
+    assert len(calls) == 1
 
 
 def test_cli_decompose():
