@@ -166,11 +166,8 @@ def check_plane_transitivity(S):
     atom_pairs = [(s1, s2) for s1 in L.atoms for s2 in L.atoms if s1 != s2]
     planes = {interval(L, L.bottom, L.join_table[s1][s2]) for s1, s2 in atom_pairs}
     # (s, t) such that some automorphism maps s to t and fixes a plane pointwise
-    witnessed = set()
-    for f in automorphisms(L):
-        fixed = {a for a in range(L.size) if f(a) == a}
-        if any(plane <= fixed for plane in planes):
-            witnessed.update((s, f(s)) for s in L.atoms)
+    witnessed = {(s, f(s)) for plane in planes for f in automorphisms(L, fixed=plane)
+                 for s in L.atoms}
     for s in L.atoms:
         for t in L.atoms:
             if (s, t) not in witnessed:

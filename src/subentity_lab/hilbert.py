@@ -75,7 +75,6 @@ def check_unitary(U):
 @dataclass(frozen=True)
 class StateVector:
     amplitudes: np.ndarray
-    factor_dims: tuple | None = None
 
     def __post_init__(self):
         amps = _as_complex(self.amplitudes).reshape(-1)
@@ -84,10 +83,6 @@ class StateVector:
             raise InvalidOperator("non-finite amplitude")
         if abs(np.linalg.norm(amps) - 1.0) > EPS_MATCH:
             raise NormViolation(f"norm {np.linalg.norm(amps)} != 1")
-        if self.factor_dims is not None:
-            dA, dB = self.factor_dims
-            if dA * dB != amps.size:
-                raise DimensionMismatch(f"{dA}*{dB} != {amps.size}")
 
     @property
     def dim(self):

@@ -49,12 +49,6 @@ class FiniteLattice:
     def lt(self, a, b):
         return a != b and self.leq[a][b]
 
-    def covers(self, a, b):
-        """True iff b covers a (a < b with nothing strictly between)."""
-        if not self.lt(a, b):
-            return False
-        return not any(self.lt(a, z) and self.lt(z, b) for z in range(self.size))
-
 
 @dataclass(frozen=True)
 class LatticeMap:
@@ -159,27 +153,40 @@ def interval(L, lo, hi):
 
 
 def _signature(L):
-    """Per-element invariant used to prune the isomorphism search."""
+    """Per-element invariant used to prune the isomorphism search.
+
+    (down-set size, up-set size, lower covers, upper covers), counted on bit
+    rows: y covers x iff y is the only element of x's strict up-set below y.
+    """
+    n = L.size
+    up = [sum(1 << y for y in range(n) if L.leq[x][y]) for x in range(n)]
+    down = [sum(1 << y for y in range(n) if L.leq[y][x]) for x in range(n)]
     sig = []
-    for x in range(L.size):
-        down = [y for y in range(L.size) if L.leq[y][x]]
-        up = [y for y in range(L.size) if L.leq[x][y]]
-        covered = sum(1 for y in range(L.size) if L.covers(y, x))
-        covering = sum(1 for y in range(L.size) if L.covers(x, y))
-        sig.append((len(down), len(up), covered, covering))
+    for x in range(n):
+        above, below = up[x] & ~(1 << x), down[x] & ~(1 << x)
+        covering = sum(1 for y in range(n) if above >> y & 1 and above & down[y] == 1 << y)
+        covered = sum(1 for y in range(n) if below >> y & 1 and below & up[y] == 1 << y)
+        sig.append((down[x].bit_count(), up[x].bit_count(), covered, covering))
     return sig
 
 
-def _search_isomorphisms(L1, L2, find_all):
+def _isomorphisms(L1, L2, fixed=()):
+    """Order isomorphisms L1 -> L2 that fix each element of `fixed`.
+
+    Elements are assigned in ascending order, each trying ascending targets
+    of equal signature, so the maps come out lexicographically sorted.  An
+    element of `fixed` has itself as its only candidate.
+    """
     if L1.size != L2.size:
-        return []
+        return
     n = L1.size
     sig1 = _signature(L1)
-    sig2 = _signature(L2)
+    sig2 = sig1 if L2 is L1 else _signature(L2)
     if sorted(sig1) != sorted(sig2):
-        return []
-    candidates = [[y for y in range(n) if sig2[y] == sig1[x]] for x in range(n)]
-    found = []
+        return
+    fixed = set(fixed)
+    candidates = [[y for y in ((x,) if x in fixed else range(n)) if sig2[y] == sig1[x]]
+                  for x in range(n)]
     assign = [-1] * n
     used = [False] * n
 
@@ -192,37 +199,30 @@ def _search_isomorphisms(L1, L2, find_all):
 
     def backtrack(x):
         if x == n:
-            found.append(tuple(assign))
-            return not find_all
+            yield tuple(assign)
+            return
         for y in candidates[x]:
             if not used[y] and consistent(x, y):
                 assign[x] = y
                 used[y] = True
-                if backtrack(x + 1):
-                    return True
+                yield from backtrack(x + 1)
                 used[y] = False
-                assign[x] = -1
-        return False
 
-    backtrack(0)
-    return found
+    yield from backtrack(0)
 
 
 def find_isomorphism(L1, L2):
     """Order isomorphism between two lattices, or None.
 
-    Deterministic: the backtracking assigns images in ascending element
-    order trying ascending targets, so the lexicographically least
-    assignment is returned.
+    Deterministic: the lexicographically least assignment is returned.
     """
-    found = _search_isomorphisms(L1, L2, find_all=False)
-    if not found:
+    found = next(_isomorphisms(L1, L2), None)
+    if found is None:
         return None
     kind = "automorphism" if L1 is L2 else "isomorphism"
-    return LatticeMap(L1, L2, found[0], kind)
+    return LatticeMap(L1, L2, found, kind)
 
 
-def automorphisms(L):
-    """All order automorphisms, lexicographically sorted; contains identity."""
-    found = _search_isomorphisms(L, L, find_all=True)
-    return [LatticeMap(L, L, a, "automorphism") for a in sorted(found)]
+def automorphisms(L, fixed=()):
+    """Order automorphisms fixing each element of `fixed`, lexicographically; has identity."""
+    return [LatticeMap(L, L, a, "automorphism") for a in _isomorphisms(L, L, fixed)]

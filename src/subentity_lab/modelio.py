@@ -328,7 +328,12 @@ def _parse_labworld_body(doc, by_name):
         target.extend(parts[1:])
     if not preps or not regs:
         raise ModelSchemaError("devices", "need at least one preparing and one registering device")
-    unknown_ideal = [r for r in ideal if r not in regs]
+    for kind, names in (("prep", preps), ("reg", regs), ("ideal", ideal)):
+        if len(set(names)) != len(names):
+            dup = next(x for i, x in enumerate(names) if x in names[:i])
+            raise ModelSchemaError("devices", f"{kind} device {dup} listed twice")
+    reg_names = set(regs)
+    unknown_ideal = [r for r in ideal if r not in reg_names]
     if unknown_ideal:
         raise ModelSchemaError("devices", f"ideal flags for unknown devices {unknown_ideal}")
     labs = []
@@ -355,10 +360,10 @@ def _parse_labworld_body(doc, by_name):
             outcomes = []
             for tok in parts[2:]:
                 r, _, ans = tok.partition("=")
-                if r not in regs or ans not in ("yes", "no"):
+                if r not in reg_names or ans not in ("yes", "no"):
                     raise ModelSyntaxError(lineno, 1 + line.find(tok), "REGISTER=yes|no")
                 outcomes.append((r, ans == "yes"))
-            if sorted(r for r, _ in outcomes) != sorted(regs):
+            if len({r for r, _ in outcomes}) != len(regs):
                 raise ModelSchemaError(f"lab {lab}", f"object {obj} must answer every register once")
             rows.append(LabObject(name=obj, preparer=prep, outcomes=tuple(outcomes)))
         objects[lab] = tuple(rows)

@@ -62,7 +62,8 @@ def test_acceptance_1_axiom_battery_gallery():
         ok &= verdicts["atomicity"].passed == ax.oracle_atomicity(S)
         ok &= verdicts["orthocomplementation"].passed == bool(comps)
         ok &= verdicts["covering_law"].passed == ax.oracle_covering_law(L)
-        ok &= verdicts["plane_transitivity"].passed == ax.oracle_plane_transitivity(L)
+        pt, ce = verdicts["plane_transitivity"], ax.oracle_plane_transitivity(L)
+        ok &= (pt.passed, pt.counterexample) == (ce is None, ce)
         if comps:
             ok &= verdicts["weak_modularity"].passed == ax.oracle_weak_modularity(L, comps[0])
             ok &= verdicts["irreducibility"].passed == ax.oracle_irreducibility(L, comps[0])

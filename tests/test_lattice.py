@@ -214,8 +214,15 @@ def brute_automorphisms(L):
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_automorphisms_against_enumeration(name):
     L = CORPUS[name]
+    brute = brute_automorphisms(L)
     got = [f.assignment for f in automorphisms(L)]
-    assert got == brute_automorphisms(L)
+    assert got == brute
+    # the stabilizer of each plane [0, s1 v s2] and of each single element
+    planes = [interval(L, L.bottom, L.join_table[s1][s2]) for s1 in L.atoms for s2 in L.atoms
+              if s1 != s2]
+    for fixed in planes + [{x} for x in range(L.size)]:
+        got = [f.assignment for f in automorphisms(L, fixed=fixed)]
+        assert got == [p for p in brute if all(p[x] == x for x in fixed)]
 
 
 def test_automorphism_counts():

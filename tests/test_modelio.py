@@ -175,6 +175,24 @@ def test_labworld_schema_checks():
     with pytest.raises(ModelSchemaError):  # empty preparer extension
         parse_model("[meta]\nkind = labworld\n\n[devices]\nprep p q\nreg r\n\n"
                     "[lab j]\nx p r=yes\n")
+    two = "[meta]\nkind = labworld\n\n[devices]\nprep p\nreg r1 r2\n\n[lab j]\n"
+    with pytest.raises(ModelSchemaError, match="object x must answer every register once"):
+        parse_model(two + "x p r1=yes r1=no\n")
+    with pytest.raises(ModelSyntaxError, match="line 9, col 12"):  # unknown register
+        parse_model(two + "x p r1=yes r3=no\n")
+
+
+@pytest.mark.parametrize("devices,reason", [
+    ("prep p1 p2\nprep p2\nreg r1 r2", "prep device p2 listed twice"),
+    ("prep p1 p2\nreg r1 r2 r1", "reg device r1 listed twice"),
+    ("prep p1 p2\nreg r1 r2\nideal r2 r2", "ideal device r2 listed twice"),
+])
+def test_labworld_rejects_repeated_device_names(devices, reason):
+    text = (f"[meta]\nkind = labworld\n\n[devices]\n{devices}\n\n"
+            "[lab j]\nx p1 r1=yes r2=no\ny p2 r1=no r2=yes\n")
+    with pytest.raises(ModelSchemaError) as exc:
+        parse_model(text)
+    assert (exc.value.section, exc.value.reason) == ("devices", reason)
 
 
 # --- fuzzing --------------------------------------------------------------
