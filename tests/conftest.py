@@ -16,8 +16,29 @@ def chain(n):
     return build_lattice(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def boolean(k):
+    # 2^k; element a is the bitmask of its atoms
+    n = 1 << k
+    return build_lattice(n, [(a, a | 1 << i)
+                             for a in range(n) for i in range(k) if not a >> i & 1])
+
+
+def mo(n):
+    # MO_n: bottom 0, atoms 1..2n, top 2n+1
+    top = 2 * n + 1
+    return build_lattice(top + 1, [(0, i) for i in range(1, top)]
+                         + [(i, top) for i in range(1, top)])
+
+
+def chain_product(a, b):
+    # C_a x C_b with the product order; element (i, j) is i*b + j
+    return build_lattice(a * b,
+                         [(i * b + j, (i + 1) * b + j) for i in range(a - 1) for j in range(b)]
+                         + [(i * b + j, i * b + j + 1) for i in range(a) for j in range(b - 1)])
+
+
 def boolean_square():
-    return build_lattice(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    return boolean(2)
 
 
 def boolean_cube():
@@ -28,7 +49,7 @@ def boolean_cube():
 
 
 def mo2():
-    return build_lattice(6, [(0, i) for i in (1, 2, 3, 4)] + [(i, 5) for i in (1, 2, 3, 4)])
+    return mo(2)
 
 
 def o6():

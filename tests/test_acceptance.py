@@ -62,7 +62,7 @@ def test_acceptance_1_axiom_battery_gallery():
         ok &= verdicts["atomicity"].passed == ax.oracle_atomicity(S)
         ok &= verdicts["orthocomplementation"].passed == bool(comps)
         ok &= verdicts["covering_law"].passed == ax.oracle_covering_law(L)
-        pt, ce = verdicts["plane_transitivity"], ax.oracle_plane_transitivity(L)
+        pt, ce = verdicts["plane_transitivity"], ax.oracle_plane_transitivity_counterexample(L)
         ok &= (pt.passed, pt.counterexample) == (ce is None, ce)
         if comps:
             ok &= verdicts["weak_modularity"].passed == ax.oracle_weak_modularity(L, comps[0])

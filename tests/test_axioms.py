@@ -27,7 +27,9 @@ from subentity_lab.axioms import (
 from subentity_lab.lattice import automorphisms, build_lattice, interval, join, meet
 from subentity_lab.sps import atomic_sps, build_sps
 
-from conftest import CORPUS, boolean_square, chain, covering_fail, mo2, n5, o6
+from conftest import (
+    CORPUS, boolean, boolean_square, chain, chain_product, covering_fail, mo, mo2, n5, o6,
+)
 
 
 # --- oracles --------------------------------------------------------------
@@ -80,6 +82,10 @@ def oracle_weak_modularity(L, comp):
 
 
 def oracle_plane_transitivity(L):
+    return oracle_plane_transitivity_counterexample(L) is None
+
+
+def oracle_plane_transitivity_counterexample(L):
     """The first ordered atom pair, in atom order, that no automorphism witnesses, or None."""
     autos = [
         p for p in permutations(range(L.size))
@@ -136,7 +142,8 @@ def test_checkers_agree_with_bruteforce(name):
     assert orthocomplementations(L) == comps
     assert check_orthocomplementation(S).passed == bool(comps)
     assert check_covering_law(S).passed == oracle_covering_law(L)
-    pt, ce = check_plane_transitivity(S), oracle_plane_transitivity(L)
+    pt = check_plane_transitivity(S)
+    ce = oracle_plane_transitivity_counterexample(L)
     assert (pt.passed, pt.counterexample) == (ce is None, ce)
     if comps:
         assert check_weak_modularity(S).passed == oracle_weak_modularity(L, comps[0])
@@ -212,46 +219,29 @@ def test_plane_transitivity_examples():
 
 def test_plane_transitivity_passes_on_boolean_2_4():
     # the transposition (s t) fixes the plane of the other two atoms pointwise
-    v = check_plane_transitivity(atomic_sps(build_lattice(*boolean(4))))
+    v = check_plane_transitivity(atomic_sps(boolean(4)))
     assert v.passed and v.counterexample is None
     assert v.note == "every ordered atom pair witnessed"
-
-
-def boolean(k):
-    """2^k; element a is the bitmask of its atoms."""
-    return 1 << k, [(a, a | 1 << i) for a in range(1 << k) for i in range(k) if not a >> i & 1]
-
-
-def mo(n):
-    """MO_n: bottom 0, atoms 1..2n, top 2n+1."""
-    top = 2 * n + 1
-    return top + 1, [(0, i) for i in range(1, top)] + [(i, top) for i in range(1, top)]
-
-
-def chain_product(a, b):
-    """C_a x C_b; element (i, j) is i*b + j."""
-    return a * b, ([(i * b + j, (i + 1) * b + j) for i in range(a - 1) for j in range(b)]
-                   + [(i * b + j, i * b + j + 1) for i in range(a) for j in range(b - 1)])
 
 
 NAMED = {
     "B2": boolean(2), "B3": boolean(3), "B4": boolean(4), "MO2": mo(2), "MO3": mo(3),
     "C2xC4": chain_product(2, 4), "C3xC3": chain_product(3, 3), "C3xC4": chain_product(3, 4),
-    "O6": (6, [(0, 1), (1, 3), (3, 5), (0, 2), (2, 4), (4, 5)]),
-    "N5": (5, [(0, 1), (1, 3), (3, 4), (0, 2), (2, 4)]),
-    "COV": (6, [(0, 1), (1, 2), (2, 3), (3, 5), (0, 4), (4, 3)]),
+    "O6": o6(), "N5": n5(), "COV": covering_fail(),
 }
 
 
 @st.composite
 def bounded_lattices(draw):
-    """A relabeled presentation of a named lattice or of a random one.
+    """A relabeled presentation of a named lattice (its whole order) or of a random one.
 
     A random lattice is a Moore family: drawn subsets of {0, 1, 2, 3} closed
     under intersection, with the empty and the whole set, ordered by inclusion.
     """
     if draw(st.booleans()):
-        size, pairs = NAMED[draw(st.sampled_from(sorted(NAMED)))]
+        L = NAMED[draw(st.sampled_from(sorted(NAMED)))]
+        size = L.size
+        pairs = [(a, b) for a in range(size) for b in range(size) if a != b and L.leq[a][b]]
     else:
         family = {0, 15} | set(draw(st.lists(st.integers(0, 15), max_size=6)))
         while more := {a & b for a in family for b in family} - family:
@@ -294,13 +284,13 @@ def test_plane_transitivity_against_filtered_group(presentation):
 @pytest.mark.parametrize("n", [5, 6])
 def test_plane_transitivity_fails_on_mo5_and_mo6(n):
     # every plane of MO_n is the whole lattice, so only the identity fixes one
-    v = check_plane_transitivity(atomic_sps(build_lattice(*mo(n))))
+    v = check_plane_transitivity(atomic_sps(mo(n)))
     assert (v.passed, v.counterexample) == (False, (1, 2))
     assert v.note == "no automorphism maps atom 1 to 2 while fixing an atom-pair interval"
 
 
 def test_battery_mo5_vector():
-    verdicts = run_battery(atomic_sps(build_lattice(*mo(5))))
+    verdicts = run_battery(atomic_sps(mo(5)))
     assert "".join({True: "T", False: "F", None: "?"}[v.passed] for v in verdicts) == "TTTTTFTF"
 
 
