@@ -110,7 +110,7 @@ def orthocomplementations(L):
         return
 
     backtrack(0)
-    return sorted(set(found))
+    return found  # least unassigned element first, images ascending: distinct and in order
 
 
 def check_orthocomplementation(S):

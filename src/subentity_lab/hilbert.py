@@ -13,8 +13,8 @@ coefficient, amplitude or decomposition weight counts as zero, degenerate
 eigenvalue clusters, and the default actuality tolerance (Born value at
 least 1 - eps).  EPS_RECON: identities on recomputed products, namely
 positivity, Hermiticity and idempotence of projections, unitarity, range
-containment, and the null space taken as a meet of projections.
-EPS_MATCH: unit norms, unit and integer traces, and operator equality.
+containment, and the null space taken as a meet of projections.  EPS_MATCH:
+unit norms, unit and integer traces, and operator equality (`find_operator`).
 """
 
 from __future__ import annotations
@@ -57,9 +57,11 @@ def _as_complex(M):
     return np.asarray(M, dtype=complex)
 
 
-def operators_equal(A, B):
-    """True iff two operator matrices agree entrywise within EPS_MATCH."""
-    return bool(np.max(np.abs(A - B)) <= EPS_MATCH)
+def find_operator(ops, M):
+    """Index of the first of the matrices ops within EPS_MATCH of M entrywise, or None."""
+    diffs = np.max(np.abs(np.asarray(ops) - M), axis=(1, 2)) if len(ops) else np.zeros(0)
+    hits = np.flatnonzero(diffs <= EPS_MATCH)
+    return int(hits[0]) if hits.size else None
 
 
 def check_unitary(U):

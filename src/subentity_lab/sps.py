@@ -4,7 +4,9 @@ A state property system couples a finite state set with a complete
 property lattice through dual actuality maps xi (properties actual in a
 state) and kappa (states making a property actual), subject to the
 top/bottom condition and meet closure.  The quantum construction derives
-such a system from density operators and projections via the Born rule.
+such a system from density operators and projections via the Born rule;
+it closes the projections under meets once, meeting each pair once, and
+reads the order off those meets.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from .hilbert import EPS, DensityOperator, Projection, born, meet_projection, operators_equal
+from .hilbert import EPS, DensityOperator, Projection, born, find_operator, meet_projection
 from .lattice import FiniteLattice, build_lattice, meet
 
 
@@ -119,12 +121,40 @@ class QuantumSPS:
     duplicate_states: tuple = ()  # pairs of state indices with identical xi rows
 
 
-def _dedupe_ops(mats):
-    kept = []
-    for M in mats:
-        if not any(operators_equal(M, K) for K in kept):
-            kept.append(M)
-    return kept
+def _closure(prop_ops, dim):
+    """Meet closure of prop_ops with zero and identity, and its order pairs.
+
+    A worklist meets each projection kept once with every one kept before
+    it; i <= j exactly when meet(i, j) = i.  Sorted by (rank, entries), which
+    fixes the labeling the pairs are given on.
+    """
+    kept = np.array([np.zeros((dim, dim)), np.eye(dim)], dtype=complex)
+
+    def index(M):
+        nonlocal kept
+        i = find_operator(kept, M)
+        if i is None:
+            i, kept = len(kept), np.concatenate([kept, [M]])
+        return i
+
+    for k, P in enumerate(prop_ops):
+        M = P.matrix if isinstance(P, Projection) else np.asarray(P, dtype=complex)
+        if M.shape != (dim, dim):
+            raise hilbert.DimensionMismatch(f"property {k} has shape {M.shape}, not {(dim, dim)}")
+        index(M)
+    meets, k = {}, 1
+    while k < len(kept):  # kept grows while the meets with k are taken
+        for j in range(k):
+            meets[j, k] = index(meet_projection(kept[j], kept[k]).matrix)
+        k += 1
+    projs = [Projection(M) for M in kept]
+    rounded = [np.round(P.matrix, 6) for P in projs]
+    order = sorted(range(len(projs)), key=lambda i: (
+        projs[i].rank, tuple(rounded[i].real.ravel()), tuple(rounded[i].imag.ravel())))
+    label = {i: pos for pos, i in enumerate(order)}
+    pairs = [(label[j], label[k]) if m == j else (label[k], label[j])
+             for (j, k), m in meets.items() if m in (j, k)]
+    return [projs[i] for i in order], pairs
 
 
 def close_projections(prop_ops, dim):
@@ -133,37 +163,17 @@ def close_projections(prop_ops, dim):
     Returns deduplicated Projection values sorted by (rank, entries) so
     the induced lattice labeling is deterministic.
     """
-    mats = [np.zeros((dim, dim), dtype=complex), np.eye(dim, dtype=complex)]
-    mats += [P.matrix if isinstance(P, Projection) else np.asarray(P, dtype=complex)
-             for P in prop_ops]
-    mats = _dedupe_ops(mats)
-    while True:
-        new = []
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                M = meet_projection(mats[i], mats[j]).matrix
-                if not any(operators_equal(M, K) for K in mats + new):
-                    new.append(M)
-        if not new:
-            break
-        mats += new
-    projs = [Projection(M) for M in mats]
-
-    def sort_key(P):
-        ent = np.round(P.matrix, 6)
-        return (P.rank, tuple(ent.real.ravel()), tuple(ent.imag.ravel()))
-
-    projs.sort(key=sort_key)
-    return projs
+    return _closure(prop_ops, dim)[0]
 
 
 def quantum_sps(state_ops, prop_ops, eps=EPS):
     """State property system induced by density operators and projections.
 
     The property list is meet-closed and augmented with zero and identity;
-    the lattice order is range inclusion; a property is actual in a state
-    when the Born value reaches 1 - eps.  Distinct state operators with
-    identical actuality rows are reported as duplicates, not rejected.
+    the order is range inclusion, read off the meets (P <= Q iff P ^ Q = P);
+    a property is actual in a state when the Born value reaches 1 - eps.
+    Distinct state operators with identical actuality rows are reported as
+    duplicates, not rejected.
     """
     states = [W if isinstance(W, DensityOperator) else DensityOperator(W) for W in state_ops]
     if not states:
@@ -171,16 +181,14 @@ def quantum_sps(state_ops, prop_ops, eps=EPS):
     dim = states[0].dim
     if any(W.dim != dim for W in states):
         raise hilbert.DimensionMismatch("state operators on different spaces")
-    projs = close_projections(prop_ops, dim)
-    n = len(projs)
-    pairs = []
-    for i in range(n):
-        for j in range(n):
-            if i != j and operators_equal(projs[j].matrix @ projs[i].matrix, projs[i].matrix):
-                pairs.append((i, j))
-    lat = build_lattice(n, pairs)
+    projs, pairs = _closure(prop_ops, dim)
+    return _born_sps(states, projs, build_lattice(len(projs), pairs), eps)
+
+
+def _born_sps(states, projs, lattice, eps):
+    """The Born-rule half of quantum_sps, on a lattice already labeled like projs."""
     actuality = [[born(W, P) >= 1.0 - eps for P in projs] for W in states]
-    sps = build_sps(lat, len(states), actuality)
+    sps = build_sps(lattice, len(states), actuality)
     dupes = tuple(
         (p, q)
         for p in range(len(states))

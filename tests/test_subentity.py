@@ -6,7 +6,8 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
-from subentity_lab.hilbert import partial_trace, tensor
+from subentity_lab import sps as sps_module
+from subentity_lab.hilbert import DimensionMismatch, partial_trace, tensor
 from subentity_lab.subentity import (
     BudgetExhausted,
     DomainMismatch,
@@ -233,3 +234,33 @@ def test_wrong_factor_lifting_breaks_covariance():
         if lhs != rhs:
             broken = True
     assert broken
+
+
+def test_build_completed_model_closes_the_part_once(monkeypatch):
+    # three rotated coatoms of C^3 meet to the Boolean lattice 2^3; each pair
+    # of part projections is met at most once and the whole is never closed
+    U, _ = np.linalg.qr(np.array([[1, 2, 0], [0, 1, 1j], [1, 0, 1]]))
+    coatoms = [np.eye(3) - proj(U[:, i]) for i in range(3)]
+    wholes = [np.kron(proj(U[:, 0]), np.eye(2) / 2), proj(ket(1, 0, 0, 0, 1, 1))]
+    dims_met = []
+    original = sps_module.meet_projection
+
+    def counting(P, Q):
+        dims_met.append(len(P))
+        return original(P, Q)
+
+    monkeypatch.setattr(sps_module, "meet_projection", counting)
+    model = build_completed_model((3, 2), wholes, coatoms)
+    k = model.part.sps.lattice.size
+    assert k == 8
+    assert set(dims_met) == {3}
+    assert len(dims_met) <= k * (k - 1) // 2
+    assert model.whole.sps.lattice == model.part.sps.lattice
+    assert model.witness.n == tuple(range(k))
+    assert verify_witness(model.part.sps, model.whole.sps, model.witness).ok
+    assert canonical_witness_check(model)
+
+
+def test_build_completed_model_part_property_on_the_whole_space():
+    with pytest.raises(DimensionMismatch):
+        build_completed_model((2, 2), [proj(BELL)], [tensor(proj(Z0), np.eye(2))])
