@@ -14,7 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .lattice import FiniteLattice, automorphisms, interval, meet
+# automorphisms is not called here; it is imported because
+# perfbench/test_perfbench.py::test_tracer_patches_names_where_they_are_called
+# reads axioms.automorphisms
+from .lattice import FiniteLattice, _bits, _isomorphisms, automorphisms, interval, meet  # noqa: F401
 from .sps import StatePropertySystem
 
 
@@ -132,10 +135,11 @@ def check_covering_law(S):
     for a in range(L.size):
         for b in L.atoms:
             ab = L.join_table[a][b]
-            for x in range(L.size):
-                if L.lt(a, x) and L.lt(x, ab):
-                    return AxiomVerdict("covering_law", False, counterexample=(a, b, x),
-                                        note=f"{x} lies strictly between {a} and {a} v {b} = {ab}")
+            between = L.up[a] & L.down[ab] & ~(1 << a | 1 << ab)
+            if between:
+                x = (between & -between).bit_length() - 1
+                return AxiomVerdict("covering_law", False, counterexample=(a, b, x),
+                                    note=f"{x} lies strictly between {a} and {a} v {b} = {ab}")
     return AxiomVerdict("covering_law", True)
 
 
@@ -161,13 +165,32 @@ def check_weak_modularity(S, comp=None):
 
 
 def check_plane_transitivity(S):
-    """Every ordered atom pair needs an automorphism fixing some [0, s1 v s2]."""
+    """Every ordered atom pair needs an automorphism fixing some [0, s1 v s2].
+
+    For each plane, the atoms fall into the orbits of the plane's pointwise
+    stabilizer.  A union-find over the atoms finds them by asking, for each
+    pair of free atoms not yet in one class, for the first automorphism that
+    fixes the plane and maps s to t; every map found merges x with f(x) for
+    each atom x.  A pair is witnessed iff it lies in one class of some plane.
+    """
     L = S.lattice
     atom_pairs = [(s1, s2) for s1 in L.atoms for s2 in L.atoms if s1 != s2]
     planes = {interval(L, L.bottom, L.join_table[s1][s2]) for s1, s2 in atom_pairs}
-    # (s, t) such that some automorphism maps s to t and fixes a plane pointwise
-    witnessed = {(s, f(s)) for plane in planes for f in automorphisms(L, fixed=plane)
-                 for s in L.atoms}
+    witnessed = set()
+    for plane in planes:
+        fix = {x: x for x in plane}
+        free = [s for s in L.atoms if s not in plane]
+        parent = {s: s for s in L.atoms}
+        for i, s in enumerate(free):
+            for t in free[i + 1:]:
+                if _find(parent, s) == _find(parent, t):
+                    continue
+                f = next(_isomorphisms(L, L, {**fix, s: t}), None)
+                if f is not None:
+                    for x in free:
+                        parent[_find(parent, x)] = _find(parent, f[x])
+        root = {s: _find(parent, s) for s in L.atoms}
+        witnessed.update((s, t) for s in L.atoms for t in L.atoms if root[s] == root[t])
     for s in L.atoms:
         for t in L.atoms:
             if (s, t) not in witnessed:
@@ -177,6 +200,13 @@ def check_plane_transitivity(S):
     return AxiomVerdict("plane_transitivity", True,
                         note="every ordered atom pair witnessed" if atom_pairs
                         else "vacuous: no ordered atom pairs")
+
+
+def _find(parent, x):
+    """Root of x's class in a union-find given as a parent map."""
+    while parent[x] != x:
+        x = parent[x]
+    return x
 
 
 def _irreducibility(L, comp):
@@ -204,29 +234,32 @@ def check_irreducibility(S, comp=None):
 def _max_orthogonal_family(L, comp):
     """Largest set of nonzero, pairwise orthogonal elements, via clique search.
 
-    b and c are orthogonal iff some a has b <= a and c <= a'.
+    b and c are orthogonal iff some a has b <= a and c <= a'.  On bit rows,
+    the c with b <= a and c <= a' for some a are down[a'] over a in up[b].
+    Candidates are masks searched in ascending element order.
     """
-    elems = [x for x in range(L.size) if x != L.bottom]
-    ortho = {
-        (b, c)
-        for b in elems
-        for c in elems
-        if any(L.leq[b][a] and L.leq[c][comp[a]] for a in range(L.size))
-    }
+    n = L.size
+    right = [0] * n
+    for b in range(n):
+        for a in _bits(L.up[b]):
+            right[b] |= L.down[comp[a]]
+    # mutual[b]: the c orthogonal to b both ways
+    mutual = [sum(1 << c for c in _bits(right[b]) if right[c] >> b & 1) for b in range(n)]
     best = []
 
     def extend(current, candidates):
         nonlocal best
         if len(current) > len(best):
             best = list(current)
-        for i, c in enumerate(candidates):
-            rest = [d for d in candidates[i + 1:] if (c, d) in ortho and (d, c) in ortho]
-            if len(current) + 1 + len(rest) > len(best):
+        for c in _bits(candidates):
+            candidates &= ~(1 << c)  # leaves the candidates after c
+            rest = candidates & mutual[c]
+            if len(current) + 1 + rest.bit_count() > len(best):
                 current.append(c)
                 extend(current, rest)
                 current.pop()
 
-    extend([], elems)
+    extend([], ((1 << n) - 1) & ~(1 << L.bottom))
     return best
 
 

@@ -5,12 +5,20 @@ integer bit rows, giving each element's down-set and up-set.  A meet is the
 element whose down-set is the intersection of the two down-sets, a join
 likewise through up-sets, and bottom, top and atoms come from the same
 sets.  The boolean `leq` table and the eager meet/join tables make every
-downstream query an O(1) lookup.
+downstream query an O(1) lookup; the bit rows stay on the lattice (`up`,
+`down`) for the set-valued queries.
+
+The isomorphism search assigns elements one at a time and tests each
+candidate image with two mask comparisons against the images already
+placed.  It takes pinned pairs {x: y}, so a caller can ask for the first
+automorphism with given values (fixing a plane and moving one atom) instead
+of listing a whole group.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class LatticeError(Exception):
@@ -45,9 +53,29 @@ class FiniteLattice:
     bottom: int
     top: int
     atoms: tuple
+    # bit rows: bit b of up[a], and bit a of down[b], is set iff a <= b
+    up: tuple = field(repr=False, compare=False)
+    down: tuple = field(repr=False, compare=False)
 
     def lt(self, a, b):
         return a != b and self.leq[a][b]
+
+    @cached_property
+    def _signature(self):
+        """Per-element invariant used to prune the isomorphism search.
+
+        (down-set size, up-set size, lower covers, upper covers), counted on
+        bit rows: y covers x iff y is the only element of x's strict up-set
+        below y.  Computed once per lattice, on first use.
+        """
+        up, down = self.up, self.down
+        sig = []
+        for x in range(self.size):
+            above, below = up[x] & ~(1 << x), down[x] & ~(1 << x)
+            sig.append((down[x].bit_count(), up[x].bit_count(),
+                        sum(1 for y in _bits(below) if below & up[y] == 1 << y),
+                        sum(1 for y in _bits(above) if above & down[y] == 1 << y)))
+        return tuple(sig)
 
 
 @dataclass(frozen=True)
@@ -126,7 +154,17 @@ def build_lattice(size, order_pairs):
         bottom=bottom,
         top=by_down[everything],
         atoms=tuple(x for x in range(size) if down[x] & ~(1 << x) == 1 << bottom),
+        up=tuple(up),
+        down=tuple(down),
     )
+
+
+def _bits(mask):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def meet(L, subset):
@@ -152,63 +190,59 @@ def interval(L, lo, hi):
     return frozenset(x for x in range(L.size) if L.leq[lo][x] and L.leq[x][hi])
 
 
-def _signature(L):
-    """Per-element invariant used to prune the isomorphism search.
+def _isomorphisms(L1, L2, pinned=None):
+    """Order isomorphisms L1 -> L2 with f(x) = y for each pair of `pinned`, lexicographically.
 
-    (down-set size, up-set size, lower covers, upper covers), counted on bit
-    rows: y covers x iff y is the only element of x's strict up-set below y.
-    """
-    n = L.size
-    up = [sum(1 << y for y in range(n) if L.leq[x][y]) for x in range(n)]
-    down = [sum(1 << y for y in range(n) if L.leq[y][x]) for x in range(n)]
-    sig = []
-    for x in range(n):
-        above, below = up[x] & ~(1 << x), down[x] & ~(1 << x)
-        covering = sum(1 for y in range(n) if above >> y & 1 and above & down[y] == 1 << y)
-        covered = sum(1 for y in range(n) if below >> y & 1 and below & up[y] == 1 << y)
-        sig.append((down[x].bit_count(), up[x].bit_count(), covered, covering))
-    return sig
+    Each element's candidates are the targets of equal signature (only y
+    for a pinned x).  Elements with a single candidate are assigned first,
+    then the rest in ascending order, each trying ascending targets.  A
+    single-candidate element has the same image in every map, so the maps
+    still come out sorted by (f(0), f(1), ...).
 
-
-def _isomorphisms(L1, L2, fixed=()):
-    """Order isomorphisms L1 -> L2 that fix each element of `fixed`.
-
-    Elements are assigned in ascending order, each trying ascending targets
-    of equal signature, so the maps come out lexicographically sorted.  An
-    element of `fixed` has itself as its only candidate.
+    A candidate y for x is consistent with the elements already assigned
+    iff y is unused and the assigned images above (below) y are exactly the
+    images of the assigned elements above (below) x: two mask comparisons.
     """
     if L1.size != L2.size:
         return
     n = L1.size
-    sig1 = _signature(L1)
-    sig2 = sig1 if L2 is L1 else _signature(L2)
+    sig1, sig2 = L1._signature, L2._signature
     if sorted(sig1) != sorted(sig2):
         return
-    fixed = set(fixed)
-    candidates = [[y for y in ((x,) if x in fixed else range(n)) if sig2[y] == sig1[x]]
-                  for x in range(n)]
+    pinned = pinned or {}
+    targets = {}
+    for y in range(n):
+        targets.setdefault(sig2[y], []).append(y)
+    candidates = [([pinned[x]] if sig2[pinned[x]] == sig1[x] else []) if x in pinned
+                  else targets[sig1[x]] for x in range(n)]
+    if not all(candidates):
+        return
+    order = ([x for x in range(n) if len(candidates[x]) == 1]
+             + [x for x in range(n) if len(candidates[x]) > 1])
+    up1, down1, up2, down2 = L1.up, L1.down, L2.up, L2.down
     assign = [-1] * n
-    used = [False] * n
 
-    def consistent(x, y):
-        for x2 in range(x):
-            y2 = assign[x2]
-            if L1.leq[x][x2] != L2.leq[y][y2] or L1.leq[x2][x] != L2.leq[y2][y]:
-                return False
-        return True
+    def image(mask):
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= 1 << assign[low.bit_length() - 1]
+            mask ^= low
+        return out
 
-    def backtrack(x):
-        if x == n:
+    def backtrack(i, placed, used):
+        # placed: mask of the elements assigned so far, used: mask of their images
+        if i == n:
             yield tuple(assign)
             return
+        x = order[i]
+        want_up, want_down = image(up1[x] & placed), image(down1[x] & placed)
         for y in candidates[x]:
-            if not used[y] and consistent(x, y):
+            if not used >> y & 1 and up2[y] & used == want_up and down2[y] & used == want_down:
                 assign[x] = y
-                used[y] = True
-                yield from backtrack(x + 1)
-                used[y] = False
+                yield from backtrack(i + 1, placed | 1 << x, used | 1 << y)
 
-    yield from backtrack(0)
+    yield from backtrack(0, 0, 0)
 
 
 def find_isomorphism(L1, L2):
@@ -225,4 +259,5 @@ def find_isomorphism(L1, L2):
 
 def automorphisms(L, fixed=()):
     """Order automorphisms fixing each element of `fixed`, lexicographically; has identity."""
-    return [LatticeMap(L, L, a, "automorphism") for a in _isomorphisms(L, L, fixed)]
+    return [LatticeMap(L, L, a, "automorphism")
+            for a in _isomorphisms(L, L, {x: x for x in fixed})]

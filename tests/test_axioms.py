@@ -5,6 +5,7 @@ with no pruning; the checkers must agree with them on every lattice in
 the corpus.
 """
 
+import random
 from itertools import permutations
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from subentity_lab.axioms import (
     AXIOM_ORDER,
+    _max_orthogonal_family,
     check_atomicity,
     check_covering_law,
     check_infinite_length,
@@ -279,6 +281,88 @@ def test_plane_transitivity_against_filtered_group(presentation):
     L = build_lattice(*presentation)
     v = check_plane_transitivity(atomic_sps(L))
     assert (v.passed, v.counterexample, v.note) == filtered_plane_transitivity(L)
+
+
+def stabilizer_plane_transitivity(L):
+    """(passed, counterexample, note) from listing each plane's whole pointwise stabilizer."""
+    atom_pairs = [(s1, s2) for s1 in L.atoms for s2 in L.atoms if s1 != s2]
+    planes = {interval(L, L.bottom, L.join_table[s1][s2]) for s1, s2 in atom_pairs}
+    witnessed = {(s, f(s)) for plane in planes for f in automorphisms(L, fixed=plane)
+                 for s in L.atoms}
+    for s in L.atoms:
+        for t in L.atoms:
+            if (s, t) not in witnessed:
+                return False, (s, t), (f"no automorphism maps atom {s} to {t} "
+                                       "while fixing an atom-pair interval")
+    return True, None, ("every ordered atom pair witnessed" if atom_pairs
+                        else "vacuous: no ordered atom pairs")
+
+
+def relabeled(L, seed):
+    perm = list(range(L.size))
+    random.Random(seed).shuffle(perm)
+    return build_lattice(L.size, [(perm[a], perm[b]) for a in range(L.size)
+                                  for b in range(L.size) if a != b and L.leq[a][b]])
+
+
+@pytest.mark.parametrize("L", [relabeled(boolean(5), 1), relabeled(boolean(5), 2), boolean(6),
+                               relabeled(mo(4), 3)],
+                         ids=["B5-relabeled-1", "B5-relabeled-2", "B6", "MO4-relabeled"])
+def test_plane_transitivity_against_stabilizer_listing(L):
+    v = check_plane_transitivity(atomic_sps(L))
+    assert (v.passed, v.counterexample, v.note) == stabilizer_plane_transitivity(L)
+
+
+def test_battery_b6_vector():
+    verdicts = run_battery(atomic_sps(boolean(6)))
+    assert "".join({True: "T", False: "F", None: "?"}[v.passed] for v in verdicts) == "TTTTTTFF"
+
+
+def loop_max_orthogonal_family(L, comp):
+    """Largest orthogonal family from the pair set and the list-based clique search."""
+    elems = [x for x in range(L.size) if x != L.bottom]
+    ortho = {(b, c) for b in elems for c in elems
+             if any(L.leq[b][a] and L.leq[c][comp[a]] for a in range(L.size))}
+    best = []
+
+    def extend(current, candidates):
+        nonlocal best
+        if len(current) > len(best):
+            best = list(current)
+        for i, c in enumerate(candidates):
+            rest = [d for d in candidates[i + 1:] if (c, d) in ortho and (d, c) in ortho]
+            if len(current) + 1 + len(rest) > len(best):
+                current.append(c)
+                extend(current, rest)
+                current.pop()
+
+    extend([], elems)
+    return best
+
+
+def loop_covering_law(L):
+    """The first (a, b, x) with a < x < a v b, scanning x upward, or None."""
+    for a in range(L.size):
+        for b in L.atoms:
+            ab = L.join_table[a][b]
+            for x in range(L.size):
+                if L.lt(a, x) and L.lt(x, ab):
+                    return a, b, x
+    return None
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(bounded_lattices(), st.data())
+def test_orthogonal_family_and_covering_law_against_loops(presentation, data):
+    L = build_lattice(*presentation)
+    # any map, not only an orthocomplementation: the relation is defined for every comp
+    comp = data.draw(st.lists(st.integers(0, L.size - 1), min_size=L.size, max_size=L.size))
+    assert _max_orthogonal_family(L, comp) == loop_max_orthogonal_family(L, comp)
+    ce = loop_covering_law(L)
+    assert check_covering_law(atomic_sps(L)).counterexample == ce
+    comps = orthocomplementations(L)
+    if comps:
+        assert _max_orthogonal_family(L, comps[0]) == loop_max_orthogonal_family(L, comps[0])
 
 
 @pytest.mark.parametrize("n", [5, 6])

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subentity_lab import axioms
 from subentity_lab.lattice import (
     EmptyInterval,
     NotALattice,
     NotAPartialOrder,
+    _isomorphisms,
     automorphisms,
     build_lattice,
     find_isomorphism,
@@ -15,8 +17,9 @@ from subentity_lab.lattice import (
     join,
     meet,
 )
+from subentity_lab.sps import atomic_sps
 
-from conftest import CORPUS, boolean_square, chain, mo2, n5, o6
+from conftest import CORPUS, boolean, boolean_square, chain, mo2, n5, o6
 
 
 def brute_meet(L, subset):
@@ -223,6 +226,25 @@ def test_automorphisms_against_enumeration(name):
     for fixed in planes + [{x} for x in range(L.size)]:
         got = [f.assignment for f in automorphisms(L, fixed=fixed)]
         assert got == [p for p in brute if all(p[x] == x for x in fixed)]
+    # one pinned pair x -> y, which need not be a fixed point
+    for x in range(L.size):
+        for y in range(L.size):
+            assert list(_isomorphisms(L, L, {x: y})) == [p for p in brute if p[x] == y]
+
+
+def test_plane_transitivity_on_b6_asks_a_few_questions_per_plane(monkeypatch):
+    # B6 has 15 planes, each fixing 2 of the 6 atoms; the other 4 form one
+    # orbit, found in 3 existence questions instead of listing 15 x 4! = 360 maps
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _isomorphisms(*args)
+
+    monkeypatch.setattr(axioms, "_isomorphisms", counted)
+    v = axioms.check_plane_transitivity(atomic_sps(boolean(6)))
+    assert v.passed
+    assert len(calls) <= 15 * 3
 
 
 def test_automorphism_counts():
