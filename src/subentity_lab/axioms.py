@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 # automorphisms is not called here; it is imported because
 # perfbench/test_perfbench.py::test_tracer_patches_names_where_they_are_called
 # reads axioms.automorphisms
-from .lattice import FiniteLattice, _bits, _isomorphisms, automorphisms, interval, meet  # noqa: F401
+from .lattice import FiniteLattice, _bits, _orbits, automorphisms, meet  # noqa: F401
 from .sps import StatePropertySystem
 
 
@@ -74,57 +74,83 @@ def check_atomicity(S):
 
 
 def orthocomplementations(L):
-    """All maps ' with (a')'=a, order reversal, a^a'=0, a v a'=I, lexicographic."""
-    n = L.size
-    found = []
+    """All maps ' with (a')'=a, order reversal, a^a'=0, a v a'=I, lexicographic.
+
+    Lists every witness.  The checkers count and decide them one per orbit
+    instead, with the same backtracking (`_orthocomplement_search`).
+    """
+    return [w for w, _ in _orthocomplement_search(L, by_orbit=False)]
+
+
+def _orthocomplement_search(L, by_orbit):
+    """Orthocomplementations as a list of (witness, weight) leaves, lexicographically.
+
+    The search pairs the least unpaired element x with each valid image y:
+    unpaired, a complement of x, and order-reversing against the pairs
+    placed so far.  Since ' is an involution, b <= x iff x' <= b' and
+    x <= b iff b' <= x', so the placed elements below (above) y must be
+    exactly the images of those above (below) x: two mask comparisons on
+    the bit rows, as in the isomorphism search.
+
+    Listed (by_orbit false), every image is tried and each witness weighs 1.
+    Per orbit (by_orbit true), the images are split into the orbits of the
+    automorphisms fixing x and every placed element; conjugation w -> g w g^-1
+    by such a g maps the completions through y onto those through g(y), so
+    the search descends into each orbit's least image only and multiplies
+    the weight by the orbit's size.  The weights then sum to the number of
+    orthocomplementations, the first leaf is the least witness, and every
+    conjugation-invariant property takes the same set of values over the
+    leaves as over all witnesses.
+    """
+    n, up, down, bottom, top = L.size, L.up, L.down, L.bottom, L.top
+    everything = (1 << n) - 1
     comp = [-1] * n
+    leaves = []
 
-    def ok(x, y):
-        if L.meet_table[x][y] != L.bottom or L.join_table[x][y] != L.top:
-            return False
-        for x2 in range(n):
-            y2 = comp[x2]
-            if y2 < 0:
-                continue
-            if L.leq[x][x2] and not L.leq[y2][y]:
-                return False
-            if L.leq[x2][x] and not L.leq[y][y2]:
-                return False
-        return True
-
-    def backtrack(x):
-        if x == n:
-            found.append(tuple(comp))
+    def backtrack(placed, weight):
+        if placed == everything:
+            leaves.append((tuple(comp), weight))
             return
-        if comp[x] >= 0:
-            backtrack(x + 1)
-            return
-        for y in range(n):
-            if comp[y] >= 0 and comp[y] != x:
-                continue
-            if y == x and x != L.bottom and x != L.top:
-                continue  # a ^ a = a != 0 for proper elements
-            if ok(x, y):
-                comp[x], comp[y] = y, x
-                backtrack(x + 1)
-                comp[x] = -1
-                if y != x:
-                    comp[y] = -1
-        return
+        free = everything ^ placed
+        x = (free & -free).bit_length() - 1
+        want_up = want_down = 0  # images of the placed elements below / above x
+        rest = placed & (up[x] | down[x])
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if down[x] & low:
+                want_up |= 1 << comp[low.bit_length() - 1]
+            else:
+                want_down |= 1 << comp[low.bit_length() - 1]
+        meets, joins = L.meet_table[x], L.join_table[x]
+        images = []
+        for y in range(x, n):  # every y < x is placed
+            if (meets[y] == bottom and joins[y] == top and free >> y & 1
+                    and up[y] & placed == want_up and down[y] & placed == want_down):
+                images.append(y)
+        if by_orbit and len(images) > 1:
+            classes = _orbits(L, placed | 1 << x, images)
+        else:
+            classes = zip(images)  # each image a class of one
+        for members in classes:
+            y = members[0]
+            comp[x], comp[y] = y, x
+            backtrack(placed | 1 << x | 1 << y, weight * len(members))
 
-    backtrack(0)
-    return found  # least unassigned element first, images ascending: distinct and in order
+    backtrack(0, 1)
+    return leaves
 
 
 def check_orthocomplementation(S):
     """Exhaustive search for an orthocomplementation on the property lattice."""
-    return _orthocomplementation_verdict(orthocomplementations(S.lattice))
+    return _orthocomplementation_verdict(_orthocomplement_search(S.lattice, by_orbit=True))
 
 
-def _orthocomplementation_verdict(witnesses):
-    if witnesses:
-        return AxiomVerdict("orthocomplementation", True, witness=witnesses[0],
-                            note=f"{len(witnesses)} orthocomplementation(s) exist")
+def _orthocomplementation_verdict(leaves):
+    if leaves:
+        return AxiomVerdict("orthocomplementation", True, witness=leaves[0][0],
+                            note=f"{sum(weight for _, weight in leaves)} "
+                                 "orthocomplementation(s) exist")
     return AxiomVerdict("orthocomplementation", False,
                         note="no orthocomplementation exists (exhaustive search)")
 
@@ -168,29 +194,16 @@ def check_plane_transitivity(S):
     """Every ordered atom pair needs an automorphism fixing some [0, s1 v s2].
 
     For each plane, the atoms fall into the orbits of the plane's pointwise
-    stabilizer.  A union-find over the atoms finds them by asking, for each
-    pair of free atoms not yet in one class, for the first automorphism that
-    fixes the plane and maps s to t; every map found merges x with f(x) for
-    each atom x.  A pair is witnessed iff it lies in one class of some plane.
+    stabilizer (`_orbits`).  A pair is witnessed iff it lies in one orbit of
+    some plane.
     """
     L = S.lattice
     atom_pairs = [(s1, s2) for s1 in L.atoms for s2 in L.atoms if s1 != s2]
-    planes = {interval(L, L.bottom, L.join_table[s1][s2]) for s1, s2 in atom_pairs}
+    planes = {L.down[L.join_table[s1][s2]] for s1, s2 in atom_pairs}  # as masks
     witnessed = set()
     for plane in planes:
-        fix = {x: x for x in plane}
-        free = [s for s in L.atoms if s not in plane]
-        parent = {s: s for s in L.atoms}
-        for i, s in enumerate(free):
-            for t in free[i + 1:]:
-                if _find(parent, s) == _find(parent, t):
-                    continue
-                f = next(_isomorphisms(L, L, {**fix, s: t}), None)
-                if f is not None:
-                    for x in free:
-                        parent[_find(parent, x)] = _find(parent, f[x])
-        root = {s: _find(parent, s) for s in L.atoms}
-        witnessed.update((s, t) for s in L.atoms for t in L.atoms if root[s] == root[t])
+        for orbit in _orbits(L, plane, L.atoms):
+            witnessed.update((s, t) for s in orbit for t in orbit)
     for s in L.atoms:
         for t in L.atoms:
             if (s, t) not in witnessed:
@@ -200,13 +213,6 @@ def check_plane_transitivity(S):
     return AxiomVerdict("plane_transitivity", True,
                         note="every ordered atom pair witnessed" if atom_pairs
                         else "vacuous: no ordered atom pairs")
-
-
-def _find(parent, x):
-    """Root of x's class in a union-find given as a parent map."""
-    while parent[x] != x:
-        x = parent[x]
-    return x
 
 
 def _irreducibility(L, comp):
@@ -272,38 +278,44 @@ def check_infinite_length(S, comp=None):
 
 
 def _require_comp(S):
-    witnesses = orthocomplementations(S.lattice)
-    if not witnesses:
+    leaves = _orthocomplement_search(S.lattice, by_orbit=True)
+    if not leaves:
         raise NoOrthocomplementation("the property lattice admits no orthocomplementation")
-    return witnesses[0]
+    return leaves[0][0]
 
 
 def run_battery(S):
     """All eight checks in AXIOM_ORDER, deterministic.
 
     Axioms that presuppose an orthocomplementation are evaluated under the
-    lexicographically first witness and cross-validated against every
-    witness; a disagreement is reported as a verdict with passed=None
-    instead of picking a side.
+    lexicographically first witness.  Weak modularity and irreducibility
+    are decided on one witness per orbit of the orthocomplementations
+    under conjugation by automorphisms, which is enough: conjugating by an
+    automorphism g maps each witness w to g w g^-1 and keeps both
+    verdicts, since g preserves meets, joins and order.  A verdict that
+    differs between witnesses is reported with passed=None instead of
+    picking a side.
     """
     verdicts = [check_state_determination(S), check_atomicity(S)]
-    witnesses = orthocomplementations(S.lattice)
-    verdicts += [_orthocomplementation_verdict(witnesses), check_covering_law(S)]
+    leaves = _orthocomplement_search(S.lattice, by_orbit=True)
+    verdicts += [_orthocomplementation_verdict(leaves), check_covering_law(S)]
 
     def comp_dependent(name, checker, decider):
-        if not witnesses:
+        if not leaves:
             return AxiomVerdict(name, False, note="lattice is not orthocomplemented")
-        outcomes = {decider(S.lattice, w) is None for w in witnesses}
-        if len(outcomes) > 1:
-            return AxiomVerdict(name, None,
-                                note="verdict depends on the orthocomplementation witness")
-        return checker(S, comp=witnesses[0])
+        outcomes = set()
+        for w, _ in leaves:
+            outcomes.add(decider(S.lattice, w) is None)
+            if len(outcomes) > 1:
+                return AxiomVerdict(name, None,
+                                    note="verdict depends on the orthocomplementation witness")
+        return checker(S, comp=leaves[0][0])
 
     verdicts.append(comp_dependent("weak_modularity", check_weak_modularity, _weak_modularity))
     verdicts.append(check_plane_transitivity(S))
     verdicts.append(comp_dependent("irreducibility", check_irreducibility, _irreducibility))
-    if witnesses:
-        verdicts.append(check_infinite_length(S, comp=witnesses[0]))
+    if leaves:
+        verdicts.append(check_infinite_length(S, comp=leaves[0][0]))
     else:
         verdicts.append(AxiomVerdict("infinite_length", False,
                                      note="lattice is not orthocomplemented"))

@@ -12,13 +12,19 @@ The isomorphism search assigns elements one at a time and tests each
 candidate image with two mask comparisons against the images already
 placed.  It takes pinned pairs {x: y}, so a caller can ask for the first
 automorphism with given values (fixing a plane and moving one atom) instead
-of listing a whole group.
+of listing a whole group.  `_orbits` splits a set of points into the orbits
+of a pointwise stabilizer and asks such questions only where cheaper
+arguments leave points tied: twins (equal strict up- and down-sets) are
+swapped by an automorphism that moves nothing else, and points whose
+up- and down-sets differ in size or in what they contain of the fixed set
+lie in different orbits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 
 
 class LatticeError(Exception):
@@ -76,6 +82,14 @@ class FiniteLattice:
                         sum(1 for y in _bits(below) if below & up[y] == 1 << y),
                         sum(1 for y in _bits(above) if above & down[y] == 1 << y)))
         return tuple(sig)
+
+    @cached_property
+    def _targets(self):
+        """Elements grouped by `_signature`, ascending: the isomorphism search's candidates."""
+        targets = {}
+        for y, sig in enumerate(self._signature):
+            targets.setdefault(sig, []).append(y)
+        return targets
 
 
 @dataclass(frozen=True)
@@ -207,12 +221,10 @@ def _isomorphisms(L1, L2, pinned=None):
         return
     n = L1.size
     sig1, sig2 = L1._signature, L2._signature
-    if sorted(sig1) != sorted(sig2):
+    if L1 is not L2 and sorted(sig1) != sorted(sig2):
         return
     pinned = pinned or {}
-    targets = {}
-    for y in range(n):
-        targets.setdefault(sig2[y], []).append(y)
+    targets = L2._targets
     candidates = [([pinned[x]] if sig2[pinned[x]] == sig1[x] else []) if x in pinned
                   else targets[sig1[x]] for x in range(n)]
     if not all(candidates):
@@ -261,3 +273,56 @@ def automorphisms(L, fixed=()):
     """Order automorphisms fixing each element of `fixed`, lexicographically; has identity."""
     return [LatticeMap(L, L, a, "automorphism")
             for a in _isomorphisms(L, L, {x: x for x in fixed})]
+
+
+def _orbits(L, fixed, points):
+    """Orbits of `points` under the automorphisms fixing each element of the mask `fixed`.
+
+    `points` must be closed under that group.  The orbits come back as
+    ascending lists, ordered by their least element.  Points are first
+    grouped by a key every such automorphism preserves: the sizes of their
+    up- and down-sets and the parts of those sets inside `fixed`.  A group
+    whose points are all twins (equal strict up- and down-sets; swapping two
+    twins moves nothing else) is one orbit.  Only the twin classes left tied
+    in a group are merged by existence queries to `_isomorphisms`, in a
+    union-find: one query per pair of classes not yet merged, and every map
+    found merges each class with its image.
+    """
+    up, down = L.up, L.down
+    groups = {}
+    for p in points:
+        key = (up[p].bit_count(), down[p].bit_count(), up[p] & fixed, down[p] & fixed)
+        groups.setdefault(key, []).append(p)
+    if len(groups) == len(points):
+        return sorted([p] for p in points)
+    orbits = []
+    for group in groups.values():
+        twins = {}
+        for p in sorted(group):
+            twins.setdefault((up[p] ^ 1 << p, down[p] ^ 1 << p), []).append(p)
+        classes = list(twins.values())
+        if len(classes) == 1:
+            orbits += classes
+            continue
+        pins = {x: x for x in _bits(fixed)}
+        index = {p: i for i, members in enumerate(classes) for p in members}
+        parent = list(range(len(classes)))
+        for i, j in combinations(range(len(classes)), 2):
+            if _find(parent, i) == _find(parent, j):
+                continue
+            f = next(_isomorphisms(L, L, {**pins, classes[i][0]: classes[j][0]}), None)
+            if f is not None:
+                for k, members in enumerate(classes):
+                    parent[_find(parent, k)] = _find(parent, index[f[members[0]]])
+        merged = {}
+        for i, members in enumerate(classes):
+            merged.setdefault(_find(parent, i), []).extend(members)
+        orbits += (sorted(members) for members in merged.values())
+    return sorted(orbits)
+
+
+def _find(parent, x):
+    """Root of x's class in a union-find given as a parent list."""
+    while parent[x] != x:
+        x = parent[x]
+    return x

@@ -67,6 +67,37 @@ def covering_fail():
     return build_lattice(6, [(0, 1), (1, 2), (2, 3), (3, 5), (0, 4), (4, 3)])
 
 
+def product(A, B):
+    # A x B with the componentwise order; element (a, b) is a*|B| + b
+    return build_lattice(A.size * B.size,
+                         [(a * B.size + b, c * B.size + d)
+                          for a in range(A.size) for c in range(A.size) if A.leq[a][c]
+                          for b in range(B.size) for d in range(B.size)
+                          if B.leq[b][d] and (a, b) != (c, d)])
+
+
+def horizontal_sum(*lattices):
+    # the lattices glued at their bottoms (element 0) and their tops (element 1)
+    pairs, size = [], 2
+    for L in lattices:
+        index = {L.bottom: 0, L.top: 1}
+        for x in range(L.size):
+            if x not in index:
+                index[x], size = size, size + 1
+        pairs += [(index[a], index[b]) for a in range(L.size) for b in range(L.size)
+                  if index[a] != index[b] and L.leq[a][b]]
+    return build_lattice(size, pairs)
+
+
+def no_orthocomplement8():
+    # bottom 3, atoms 4 5 6, 0 = 4 v 6, 7 = 5 v 6, 1 above 4 alone, top 2.  An
+    # involution pairing complements exists, but no orthocomplementation: a
+    # search that tests order reversal only for x, not for its image y, accepts
+    # (5, 6, 3, 2, 7, 0, 1, 4), where 6 <= 0 but 0' = 5 is not below 6' = 1
+    return build_lattice(8, [(3, 4), (3, 5), (3, 6), (6, 0), (4, 0), (6, 7), (5, 7),
+                             (4, 1), (0, 2), (7, 2), (1, 2)])
+
+
 CORPUS = {
     "two_chain": chain(2),
     "three_chain": chain(3),
@@ -74,6 +105,7 @@ CORPUS = {
     "boolean_cube": boolean_cube(),
     "mo2": mo2(),
     "o6": o6(),
+    "no_orthocomplement8": no_orthocomplement8(),
 }
 
 

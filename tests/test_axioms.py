@@ -12,9 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subentity_lab import lattice
 from subentity_lab.axioms import (
     AXIOM_ORDER,
+    _irreducibility,
     _max_orthogonal_family,
+    _orthocomplement_search,
+    _weak_modularity,
     check_atomicity,
     check_covering_law,
     check_infinite_length,
@@ -30,7 +34,8 @@ from subentity_lab.lattice import automorphisms, build_lattice, interval, join, 
 from subentity_lab.sps import atomic_sps, build_sps
 
 from conftest import (
-    CORPUS, boolean, boolean_square, chain, chain_product, covering_fail, mo, mo2, n5, o6,
+    CORPUS, boolean, boolean_square, chain, chain_product, covering_fail, horizontal_sum, mo, mo2,
+    n5, o6, product,
 )
 
 
@@ -131,6 +136,17 @@ def oracle_max_orthogonal(L, comp):
     return best
 
 
+def assert_orbit_search_matches_listing(L):
+    """One witness per orbit, weighted, against the listing of every witness."""
+    listed = orthocomplementations(L)
+    leaves = _orthocomplement_search(L, by_orbit=True)
+    assert sum(weight for _, weight in leaves) == len(listed)
+    assert [w for w, _ in leaves[:1]] == listed[:1]
+    for decider in (_weak_modularity, _irreducibility):
+        assert ({decider(L, w) is None for w, _ in leaves}
+                == {decider(L, w) is None for w in listed})
+
+
 # --- agreement with the oracles ------------------------------------------
 
 
@@ -143,6 +159,7 @@ def test_checkers_agree_with_bruteforce(name):
     comps = oracle_orthocomplementations(L)
     assert orthocomplementations(L) == comps
     assert check_orthocomplementation(S).passed == bool(comps)
+    assert_orbit_search_matches_listing(L)
     assert check_covering_law(S).passed == oracle_covering_law(L)
     pt = check_plane_transitivity(S)
     ce = oracle_plane_transitivity_counterexample(L)
@@ -363,6 +380,25 @@ def test_orthogonal_family_and_covering_law_against_loops(presentation, data):
     comps = orthocomplementations(L)
     if comps:
         assert _max_orthogonal_family(L, comps[0]) == loop_max_orthogonal_family(L, comps[0])
+    assert_orbit_search_matches_listing(L)
+
+
+@pytest.mark.parametrize("L", [relabeled(mo(n), n) for n in (3, 4, 5, 6)]
+                         + [product(mo(2), boolean(1)), product(mo(3), boolean(1)),
+                            product(mo(2), mo(2)), product(o6(), o6()),
+                            horizontal_sum(boolean(3), boolean(3))],
+                         ids=["MO3-relabeled", "MO4-relabeled", "MO5-relabeled", "MO6-relabeled",
+                              "MO2xB1", "MO3xB1", "MO2xMO2", "O6xO6", "B3+B3"])
+def test_orbit_search_against_listing(L):
+    # in the products the symmetric images are not twins, so orbits need queries;
+    # B3+B3 is weakly modular under some of its seven witnesses and not others
+    assert_orbit_search_matches_listing(L)
+    listed = orthocomplementations(L)
+    battery = {v.axiom: v.passed for v in run_battery(atomic_sps(L))}
+    for name, decider in (("weak_modularity", _weak_modularity),
+                          ("irreducibility", _irreducibility)):
+        outcomes = {decider(L, w) is None for w in listed}
+        assert battery[name] == (outcomes.pop() if len(outcomes) == 1 else None)
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -373,9 +409,22 @@ def test_plane_transitivity_fails_on_mo5_and_mo6(n):
     assert v.note == "no automorphism maps atom 1 to 2 while fixing an atom-pair interval"
 
 
-def test_battery_mo5_vector():
-    verdicts = run_battery(atomic_sps(mo(5)))
+@pytest.mark.parametrize("n, count", [(5, 945), (6, 10395), (7, 135135), (8, 2027025)],
+                         ids=["MO5", "MO6", "MO7", "MO8"])
+def test_battery_mo_n_vector(n, count, monkeypatch):
+    # the 2n atoms are twins, so the orbit search descends once, asking nothing
+    queries, isomorphisms = [], lattice._isomorphisms
+    monkeypatch.setattr(lattice, "_isomorphisms",
+                        lambda *args: queries.append(args) or isomorphisms(*args))
+    L = mo(n)
+    assert len(_orthocomplement_search(L, by_orbit=True)) == 1
+    verdicts = run_battery(atomic_sps(L))
     assert "".join({True: "T", False: "F", None: "?"}[v.passed] for v in verdicts) == "TTTTTFTF"
+    ortho = verdicts[AXIOM_ORDER.index("orthocomplementation")]
+    top = 2 * n + 1
+    assert ortho.witness == (top, *(a + 1 if a % 2 else a - 1 for a in range(1, top)), 0)
+    assert ortho.note == f"{count} orthocomplementation(s) exist"
+    assert queries == []
 
 
 def test_battery_order_and_boolean_square_vector():

@@ -1,15 +1,17 @@
+import random
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subentity_lab import axioms
+from subentity_lab import axioms, lattice
 from subentity_lab.lattice import (
     EmptyInterval,
     NotALattice,
     NotAPartialOrder,
     _isomorphisms,
+    _orbits,
     automorphisms,
     build_lattice,
     find_isomorphism,
@@ -230,6 +232,15 @@ def test_automorphisms_against_enumeration(name):
     for x in range(L.size):
         for y in range(L.size):
             assert list(_isomorphisms(L, L, {x: y})) == [p for p in brute if p[x] == y]
+    # orbits of the pointwise stabilizer, on the whole lattice and on the unfixed part
+    rng = random.Random(L.size)
+    seeded = [set(rng.sample(range(L.size), rng.randint(0, L.size))) for _ in range(8)]
+    for fixed in planes + [{x} for x in range(L.size)] + seeded:
+        stabilizer = [p for p in brute if all(p[x] == x for x in fixed)]
+        orbit = {x: tuple(sorted({p[x] for p in stabilizer})) for x in range(L.size)}
+        for points in (list(range(L.size)), [x for x in range(L.size) if x not in fixed]):
+            expected = sorted(map(list, {orbit[x] for x in points}))
+            assert _orbits(L, sum(1 << x for x in fixed), points) == expected
 
 
 def test_plane_transitivity_on_b6_asks_a_few_questions_per_plane(monkeypatch):
@@ -241,7 +252,7 @@ def test_plane_transitivity_on_b6_asks_a_few_questions_per_plane(monkeypatch):
         calls.append(args)
         return _isomorphisms(*args)
 
-    monkeypatch.setattr(axioms, "_isomorphisms", counted)
+    monkeypatch.setattr(lattice, "_isomorphisms", counted)
     v = axioms.check_plane_transitivity(atomic_sps(boolean(6)))
     assert v.passed
     assert len(calls) <= 15 * 3
