@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-# automorphisms is not called here; it is imported because
+# automorphisms and meet are not called here; they are imported because
 # perfbench/test_perfbench.py::test_tracer_patches_names_where_they_are_called
-# reads axioms.automorphisms
+# reads axioms.automorphisms and axioms.meet
 from .lattice import FiniteLattice, _bits, _orbits, automorphisms, meet  # noqa: F401
 from .sps import StatePropertySystem
 
@@ -52,8 +52,7 @@ class AxiomVerdict:
 
 def check_state_determination(S):
     """Distinct states must have distinct meets of their actual-property sets."""
-    L = S.lattice
-    meets = [meet(L, S.xi[p]) for p in range(S.num_states)]
+    meets = S.strongest
     for p in range(S.num_states):
         for q in range(p + 1, S.num_states):
             if meets[p] == meets[q]:
@@ -65,8 +64,7 @@ def check_state_determination(S):
 def check_atomicity(S):
     """The meet of every state's actual-property set must be an atom."""
     L = S.lattice
-    for p in range(S.num_states):
-        m = meet(L, S.xi[p])
+    for p, m in enumerate(S.strongest):
         if m not in L.atoms:
             return AxiomVerdict("atomicity", False, counterexample=(p, m),
                                 note=f"meet of xi({p}) is {m}, not an atom")
@@ -171,10 +169,9 @@ def check_covering_law(S):
 
 def _weak_modularity(L, comp):
     for a in range(L.size):
-        for b in range(L.size):
-            if L.leq[a][b]:
-                if L.join_table[L.meet_table[b][comp[a]]][a] != b:
-                    return (a, b)
+        for b in _bits(L.up[a]):
+            if L.join_table[L.meet_table[b][comp[a]]][a] != b:
+                return (a, b)
     return None
 
 

@@ -5,13 +5,16 @@ verdict is negative (an axiom failed, no witness found, ...), 2 = input
 error, 3 = search budget exhausted.  The two commands that use a
 tolerance, subentity-quantum and evolve, take it from --eps, falling back
 to the SUBENTITY_LAB_EPS environment variable, then the built-in default;
-the other commands refuse --eps.
+the other commands refuse --eps.  Numeric options are checked as they are
+parsed: a negative --seed or --budget, a --samples below 1, or an --eps
+that is negative or not finite is a usage error (exit 2).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 from pathlib import Path
@@ -81,6 +84,19 @@ def _dims(doc, path):
     if dims is None:
         raise _InputError(f"{path}: needs a [dims] section with the two factor dimensions")
     return dims
+
+
+def _at_least(parse, least):
+    """An argparse `type`: the value `parse` reads, refused unless finite and >= least."""
+    def convert(text):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {parse.__name__} value: {text!r}") from None
+        if not (math.isfinite(value) and value >= least):
+            raise argparse.ArgumentTypeError(f"must be a finite value >= {least}, got {text!r}")
+        return value
+    return convert
 
 
 def _fmt_matrix_lines(M):
@@ -304,7 +320,8 @@ def _build_parser():
     # a string default (the environment variable) is parsed like the flag,
     # and only for the commands that take this parent
     tolerance = argparse.ArgumentParser(add_help=False)
-    tolerance.add_argument("--eps", type=float, default=os.environ.get("SUBENTITY_LAB_EPS", EPS),
+    tolerance.add_argument("--eps", type=_at_least(float, 0),
+                           default=os.environ.get("SUBENTITY_LAB_EPS", EPS),
                            help="actuality tolerance (default %(default)s, from "
                                 "SUBENTITY_LAB_EPS if set)")
 
@@ -335,7 +352,7 @@ def _build_parser():
                        help="exhaustive subentity witness search between two systems")
     p.add_argument("part")
     p.add_argument("whole")
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=_at_least(int, 0), default=10_000_000)
     p.set_defaults(func=_cmd_subentity_search)
 
     p = sub.add_parser("subentity-quantum", parents=[common, tolerance],
@@ -352,8 +369,8 @@ def _build_parser():
                        help="sample convex pure-state decompositions of a density operator")
     p.add_argument("file")
     p.add_argument("--parts", type=int, required=True)
-    p.add_argument("--samples", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_at_least(int, 1), default=1)
+    p.add_argument("--seed", type=_at_least(int, 0), default=0)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("evolve", parents=[common, tolerance],

@@ -90,10 +90,6 @@ class StateVector:
     def dim(self):
         return self.amplitudes.size
 
-    def projector(self):
-        v = self.amplitudes
-        return Projection(np.outer(v, v.conj()))
-
 
 @dataclass(frozen=True)
 class DensityOperator:
@@ -120,7 +116,7 @@ class DensityOperator:
 @dataclass(frozen=True)
 class Projection:
     matrix: np.ndarray
-    rank: int = field(default=-1)
+    rank: int = field(init=False)  # the trace, set on construction
 
     def __post_init__(self):
         M = _as_complex(self.matrix)
@@ -350,25 +346,21 @@ def born(W, P):
     return min(1.0, max(0.0, val))
 
 
-def support_projection(W, eps=EPS):
-    """Projection onto the span of eigenvectors with eigenvalue above eps."""
-    pairs = eigendecomposition(W)
-    Q = np.zeros((W.dim, W.dim), dtype=complex)
-    for p, v in pairs:
-        if p > eps:
-            Q += np.outer(v, v.conj())
-    return Q
+def support_projection(W):
+    """Projection onto the span of the eigenvectors with eigenvalue above EPS."""
+    V = np.column_stack([v for _, v in eigendecomposition(W)])
+    return V @ V.conj().T
 
 
-def range_preorder(W1, W2, eps=EPS):
+def range_preorder(W1, W2):
     """True iff range(W1) is contained in range(W2).
 
     Decided via the support projection Q2 of W2: containment holds iff
-    Q2 W1 Q2 == W1 within eps.
+    Q2 W1 Q2 == W1 within EPS_RECON.
     """
     if W1.dim != W2.dim:
         raise DimensionMismatch(f"{W1.dim} vs {W2.dim}")
-    Q2 = support_projection(W2, eps)
+    Q2 = support_projection(W2)
     return bool(np.max(np.abs(Q2 @ W1.matrix @ Q2 - W1.matrix)) <= EPS_RECON)
 
 
@@ -434,10 +426,7 @@ def meet_projection(P, Q):
     n = PM.shape[0]
     S = (np.eye(n) - PM) + (np.eye(n) - QM)
     evals, vecs = np.linalg.eigh(S)
-    R = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        if evals[k] <= EPS_RECON:
-            v = vecs[:, k]
-            R += np.outer(v, v.conj())
+    V = vecs[:, evals <= EPS_RECON]
+    R = V @ V.conj().T
     R = (R + R.conj().T) / 2.0
     return Projection(R)

@@ -4,9 +4,10 @@ Elements are dense indices 0..n-1.  The order is closed at build time on
 integer bit rows, giving each element's down-set and up-set.  A meet is the
 element whose down-set is the intersection of the two down-sets, a join
 likewise through up-sets, and bottom, top and atoms come from the same
-sets.  The boolean `leq` table and the eager meet/join tables make every
-downstream query an O(1) lookup; the bit rows stay on the lattice (`up`,
-`down`) for the set-valued queries.
+sets.  The bit rows (`up`, `down`) are the one stored form of the order;
+the boolean `leq` table is a view read off them on first use.  The eager
+meet/join tables make every meet and join an O(1) lookup, and fix the
+order, so lattices compare equal on them alone.
 
 The isomorphism search assigns elements one at a time and tests each
 candidate image with two mask comparisons against the images already
@@ -53,7 +54,6 @@ class FiniteLattice:
     """Finite complete lattice over element indices 0..size-1."""
 
     size: int
-    leq: tuple  # closed boolean matrix, leq[a][b] == (a <= b)
     meet_table: tuple
     join_table: tuple
     bottom: int
@@ -64,7 +64,12 @@ class FiniteLattice:
     down: tuple = field(repr=False, compare=False)
 
     def lt(self, a, b):
-        return a != b and self.leq[a][b]
+        return a != b and bool(self.up[a] >> b & 1)
+
+    @cached_property
+    def leq(self):
+        """Boolean order table, leq[a][b] == (a <= b), read off the bit rows."""
+        return tuple(tuple(bool(row >> b & 1) for b in range(self.size)) for row in self.up)
 
     @cached_property
     def _signature(self):
@@ -162,7 +167,6 @@ def build_lattice(size, order_pairs):
     bottom = by_up[everything]
     return FiniteLattice(
         size=size,
-        leq=tuple(tuple(bool(up[a] >> b & 1) for b in range(size)) for a in range(size)),
         meet_table=tuple(tuple(row) for row in meet_table),
         join_table=tuple(tuple(row) for row in join_table),
         bottom=bottom,
@@ -199,9 +203,9 @@ def join(L, subset):
 
 def interval(L, lo, hi):
     """The set {x : lo <= x <= hi}; raises EmptyInterval when lo is not below hi."""
-    if not L.leq[lo][hi]:
+    if not L.up[lo] >> hi & 1:
         raise EmptyInterval(f"{lo} is not below {hi}")
-    return frozenset(x for x in range(L.size) if L.leq[lo][x] and L.leq[x][hi])
+    return frozenset(_bits(L.up[lo] & L.down[hi]))
 
 
 def _isomorphisms(L1, L2, pinned=None):

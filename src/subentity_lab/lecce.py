@@ -47,12 +47,6 @@ class LabWorld:
     registerers: tuple
     ideal: frozenset  # registering devices flagged exact (property candidates)
     objects: dict  # lab -> tuple of LabObject
-    domains: dict | None = None  # optional per-lab domain override (for corrupt fixtures)
-
-    def domain(self, lab):
-        if self.domains is not None:
-            return tuple(self.domains[lab])
-        return tuple(o.name for o in self.objects[lab])
 
 
 @dataclass(frozen=True)
@@ -183,7 +177,7 @@ def check_partition_property(w, states):
                     problems.append(
                         f"lab {lab}: states {S1.id} and {S2.id} share objects {sorted(overlap)}")
         covered = frozenset().union(*(S.extensions[lab] for S in states)) if states else frozenset()
-        orphans = set(w.domain(lab)) - covered
+        orphans = {o.name for o in w.objects[lab]} - covered
         if orphans:
             problems.append(f"lab {lab}: objects {sorted(orphans)} have no state")
     return not problems, tuple(problems)

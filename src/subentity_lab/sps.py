@@ -3,7 +3,11 @@
 A state property system couples a finite state set with a complete
 property lattice through dual actuality maps xi (properties actual in a
 state) and kappa (states making a property actual), subject to the
-top/bottom condition and meet closure.  The quantum construction derives
+top/bottom condition and meet closure.  Those conditions make xi(p) the
+principal filter of its meet s(p), the strongest actual property, so a
+system stores only s: p's actual set is the bit row `up[s(p)]` of the
+lattice, and `xi` and `kappa` are frozenset views built on first use.
+The quantum construction derives
 such a system from density operators and projections via the Born rule;
 it closes the projections under meets once, meeting each pair once, and
 reads the order off those meets.
@@ -12,12 +16,13 @@ reads the order off those meets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import hilbert
 from .hilbert import EPS, DensityOperator, Projection, born, find_operator, meet_projection
-from .lattice import FiniteLattice, build_lattice, meet
+from .lattice import FiniteLattice, _bits, build_lattice, meet
 
 
 class SPSError(Exception):
@@ -46,40 +51,50 @@ class Def1MeetClosureViolation(SPSError):
 class StatePropertySystem:
     num_states: int
     lattice: FiniteLattice
-    xi: tuple  # per state, frozenset of actual property indices
-    kappa: tuple  # per property, frozenset of state indices
+    strongest: tuple  # per state, the meet of its actual properties
+
+    @cached_property
+    def xi(self):
+        """Per state, the frozenset of its actual properties: the up-set of its strongest."""
+        return tuple(frozenset(_bits(self.lattice.up[s])) for s in self.strongest)
+
+    @cached_property
+    def kappa(self):
+        """Per property, the frozenset of the states that make it actual."""
+        up = self.lattice.up
+        return tuple(frozenset(p for p, s in enumerate(self.strongest) if up[s] >> a & 1)
+                     for a in range(self.lattice.size))
 
 
 def build_sps(lattice, num_states, actuality):
     """Construct and verify a state property system from a boolean table.
 
-    actuality[p][a] says whether property a is actual in state p.  The
-    kappa columns are derived from the rows, so duality holds by
-    construction; the top/bottom condition and meet closure are verified
-    and violations raised.  Meet closure (a meet is actual iff every
-    member is) holds for a finite actual-property set exactly when the set
-    is the principal filter of its own meet m, so a violation names either
-    the whole set (m is not actual) or the pair (m, x) for the first x
-    above m that is not actual.
+    actuality[p][a] says whether property a is actual in state p; each row
+    is read as a bit mask.  The top/bottom condition and meet closure are
+    verified and violations raised.  Meet closure (a meet is actual iff
+    every member is) holds for a finite actual-property set exactly when
+    the set is the principal filter of its own meet m, so a violation
+    names either the whole set (m is not actual) or the pair (m, x) for
+    the least x above m that is not actual.  The system keeps m per state.
     """
     if len(actuality) != num_states or any(len(row) != lattice.size for row in actuality):
         raise SPSError("actuality table dimensions do not match")
-    xi = tuple(frozenset(a for a in range(lattice.size) if row[a]) for row in actuality)
-    for p in range(num_states):
-        if lattice.top not in xi[p]:
+    up, top, bottom = lattice.up, lattice.top, lattice.bottom
+    strongest = []
+    for p, row in enumerate(actuality):
+        mask = sum(1 << a for a, actual in enumerate(row) if actual)
+        if not mask >> top & 1:
             raise Def1TopBottomViolation(p, "top property is not actual")
-        if lattice.bottom in xi[p]:
+        if mask >> bottom & 1:
             raise Def1TopBottomViolation(p, "bottom property is actual")
-        m = meet(lattice, xi[p])
-        if m not in xi[p]:
-            raise Def1MeetClosureViolation(p, sorted(xi[p]))
-        for x in range(lattice.size):
-            if lattice.leq[m][x] and x not in xi[p]:
-                raise Def1MeetClosureViolation(p, (m, x))
-    kappa = tuple(
-        frozenset(p for p in range(num_states) if a in xi[p]) for a in range(lattice.size)
-    )
-    return StatePropertySystem(num_states=num_states, lattice=lattice, xi=xi, kappa=kappa)
+        m = meet(lattice, _bits(mask))
+        if not mask >> m & 1:
+            raise Def1MeetClosureViolation(p, list(_bits(mask)))
+        if mask != up[m]:
+            missing = up[m] & ~mask
+            raise Def1MeetClosureViolation(p, (m, (missing & -missing).bit_length() - 1))
+        strongest.append(m)
+    return StatePropertySystem(num_states=num_states, lattice=lattice, strongest=tuple(strongest))
 
 
 def state_preorder(S, p, q):
@@ -101,9 +116,8 @@ def atomic_sps(lattice):
     """
     if not lattice.atoms:
         raise SPSError("lattice has no atoms")
-    actuality = [
-        [bool(lattice.leq[atom][a]) for a in range(lattice.size)] for atom in lattice.atoms
-    ]
+    actuality = [[bool(lattice.up[atom] >> a & 1) for a in range(lattice.size)]
+                 for atom in lattice.atoms]
     return build_sps(lattice, len(lattice.atoms), actuality)
 
 
@@ -118,7 +132,7 @@ class QuantumSPS:
     sps: StatePropertySystem
     state_ops: tuple  # DensityOperator per state index
     prop_ops: tuple  # Projection per lattice element index
-    duplicate_states: tuple = ()  # pairs of state indices with identical xi rows
+    duplicate_states: tuple = ()  # pairs of state indices with identical actual sets
 
 
 def _closure(prop_ops, dim):
@@ -193,7 +207,7 @@ def _born_sps(states, projs, lattice, eps):
         (p, q)
         for p in range(len(states))
         for q in range(p + 1, len(states))
-        if sps.xi[p] == sps.xi[q]
+        if sps.strongest[p] == sps.strongest[q]
     )
     return QuantumSPS(sps=sps, state_ops=tuple(states), prop_ops=tuple(projs),
                       duplicate_states=dupes)

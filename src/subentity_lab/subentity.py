@@ -5,7 +5,9 @@ compound system onto the part and an injective property map from the part
 into the compound, covariant in the sense that a property is actual in
 m(p') exactly when its image is actual in p'.  The search exploits that
 covariance fully determines the actual-set of m(p'): candidate images are
-the part states p with xi(p) = n^{-1}(xi'(p')).
+the part states p with xi(p) = n^{-1}(xi'(p')).  Both sides are read as
+bit rows, xi(p) = up[strongest[p]], so a candidate lookup is one dict
+probe on the preimage mask.
 
 The quantum constructions reproduce both halves of the story: with
 pure-only part states an entangled compound state has no witness; with
@@ -59,10 +61,8 @@ class WitnessReport:
 @dataclass(frozen=True)
 class CompletedQuantumModel:
     part_dims: tuple  # (dA, dB); the part lives on the dA factor
-    whole_states: tuple  # DensityOperator on the full space
-    part_props: tuple  # Projection on the part space (meet-closed)
-    part: QuantumSPS
-    whole: QuantumSPS
+    part: QuantumSPS  # prop_ops: the meet-closed projections on the part space
+    whole: QuantumSPS  # state_ops: the density operators on the full space
     witness: SubentityWitness
 
 
@@ -84,15 +84,26 @@ def verify_witness(part, whole, w):
         return WitnessReport(False, "m_surjective", f"part states {missing} not covered")
     if len(set(w.n)) != len(w.n):
         return WitnessReport(False, "n_injective", "two part properties share an image")
-    for pw in range(whole.num_states):
-        for a in range(part.lattice.size):
-            if (a in part.xi[w.m[pw]]) != (w.n[a] in whole.xi[pw]):
-                return WitnessReport(
-                    False, "covariance",
-                    f"compound state {pw}, part property {a}: "
-                    f"actual in m(p')={w.m[pw]} is {a in part.xi[w.m[pw]]} "
-                    f"but image actual in p' is {w.n[a] in whole.xi[pw]}")
+    for pw, s in enumerate(whole.strongest):
+        row, image_row = part.lattice.up[part.strongest[w.m[pw]]], whole.lattice.up[s]
+        differ = row ^ _preimage(image_row, w.n)
+        if differ:
+            a = (differ & -differ).bit_length() - 1
+            return WitnessReport(
+                False, "covariance",
+                f"compound state {pw}, part property {a}: "
+                f"actual in m(p')={w.m[pw]} is {bool(row >> a & 1)} "
+                f"but image actual in p' is {bool(image_row >> w.n[a] & 1)}")
     return WitnessReport(True)
+
+
+def _preimage(row, n):
+    """The mask of the properties a whose image n[a] is in the bit row `row`."""
+    out = 0
+    for a, y in enumerate(n):
+        if row >> y & 1:
+            out |= 1 << a
+    return out
 
 
 def search_witness(part, whole, budget=10_000_000):
@@ -100,90 +111,64 @@ def search_witness(part, whole, budget=10_000_000):
 
     Enumerates injections n in lexicographic order over property indices;
     for each, the candidate images of a compound state p' are exactly the
-    part states whose actual-set equals the n-preimage of xi'(p'), and a
-    backtracking pass looks for a surjective assignment.  Returns the
-    lexicographically least witness, or None after a completed exhaustive
-    search.  Raises BudgetExhausted when the node limit is hit.
+    part states whose actual-set row equals the n-preimage of p''s row,
+    and a backtracking pass looks for a surjective assignment.  Every
+    assignment of n, every complete n and every step of the pass spends
+    one node.  Returns the lexicographically least witness, or None after
+    a completed exhaustive search.  Raises BudgetExhausted when the node
+    limit is hit.
     """
-    nprops = part.lattice.size
-    nprops_w = whole.lattice.size
-    nstates = part.num_states
+    nprops, nprops_w = part.lattice.size, whole.lattice.size
     nstates_w = whole.num_states
     if nprops > nprops_w:
         return None
-    xi_mask = [sum(1 << a for a in part.xi[p]) for p in range(nstates)]
+    by_row = {}  # actual-set row -> the part states with it, ascending
+    for p, s in enumerate(part.strongest):
+        by_row.setdefault(part.lattice.up[s], []).append(p)
+    rows_w = [whole.lattice.up[s] for s in whole.strongest]
+    n, m = [-1] * nprops, [-1] * nstates_w
     nodes = 0
 
-    def spend(k=1):
+    def spend():
         nonlocal nodes
-        nodes += k
+        nodes += 1
         if nodes > budget:
             raise BudgetExhausted(budget)
 
-    n_assign = [-1] * nprops
-    used = [False] * nprops_w
-
-    def assign_m(candidates):
-        m = [-1] * nstates_w
-        needed = set(range(nstates))
-
-        def go(i, remaining):
-            spend()
-            if i == nstates_w:
-                return not remaining
-            slots_left = nstates_w - i
-            if len(remaining) > slots_left:
-                return False
-            for p in candidates[i]:
-                m[i] = p
-                if go(i + 1, remaining - {p}):
-                    return True
-            m[i] = -1
+    def assign_m(i, uncovered, candidates):
+        spend()
+        if i == nstates_w:
+            return not uncovered
+        if uncovered.bit_count() > nstates_w - i:
             return False
+        for p in candidates[i]:
+            m[i] = p
+            if assign_m(i + 1, uncovered & ~(1 << p), candidates):
+                return True
+        return False
 
-        if go(0, needed):
-            return tuple(m)
-        return None
-
-    def try_n():
-        # preimage mask per compound state under the current injection
-        candidates = []
-        for pw in range(nstates_w):
-            inv = 0
-            for a in range(nprops):
-                if n_assign[a] in whole.xi[pw]:
-                    inv |= 1 << a
-            cand = [p for p in range(nstates) if xi_mask[p] == inv]
-            if not cand:
-                return None
-            candidates.append(cand)
-        return assign_m(candidates)
-
-    result = None
-
-    def enum_n(a):
-        nonlocal result
-        if result is not None:
-            return
+    def assign_n(a, used):
         if a == nprops:
             spend()
-            m = try_n()
-            if m is not None:
-                result = SubentityWitness(m=m, n=tuple(n_assign))
-            return
+            candidates = []
+            for row in rows_w:
+                inv = _preimage(row, n)
+                if inv not in by_row:
+                    return None
+                candidates.append(by_row[inv])
+            if assign_m(0, (1 << part.num_states) - 1, candidates):
+                return SubentityWitness(m=tuple(m), n=tuple(n))
+            return None
         for y in range(nprops_w):
-            if not used[y]:
+            if not used >> y & 1:
                 spend()
-                n_assign[a] = y
-                used[y] = True
-                enum_n(a + 1)
-                used[y] = False
-                n_assign[a] = -1
-                if result is not None:
-                    return
+                n[a] = y
+                found = assign_n(a + 1, used | 1 << y)
+                if found is not None:
+                    return found
+        return None
 
-    enum_n(0)
-    return result
+    return assign_n(0, 0)
 
 
 def build_completed_model(dims, whole_states, part_props, eps=EPS):
@@ -211,8 +196,6 @@ def build_completed_model(dims, whole_states, part_props, eps=EPS):
     whole_q = _born_sps(wholes, whole_projs, part_q.sps.lattice, eps)
     return CompletedQuantumModel(
         part_dims=(dA, dB),
-        whole_states=tuple(wholes),
-        part_props=part_q.prop_ops,
         part=part_q,
         whole=whole_q,
         witness=SubentityWitness(m=tuple(m), n=tuple(range(len(whole_projs)))),
@@ -225,10 +208,11 @@ def canonical_witness_check(model, eps=EPS):
     Tr(W' (P x I)) reaches certainty exactly when Tr(Tr_G(W') P) does.
     """
     dA, dB = model.part_dims
-    for W in model.whole_states:
+    props = model.part.prop_ops
+    lifted = [tensor(P.matrix, np.eye(dB)) for P in props]
+    for W in model.whole.state_ops:
         R = partial_trace(W, dA, dB, keep="A")
-        for P in model.part_props:
-            lifted = tensor(P.matrix, np.eye(dB))
-            if (born(W.matrix, lifted) >= 1.0 - eps) != (born(R, P) >= 1.0 - eps):
+        for P, PI in zip(props, lifted):
+            if (born(W.matrix, PI) >= 1.0 - eps) != (born(R, P) >= 1.0 - eps):
                 return False
     return True

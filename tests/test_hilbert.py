@@ -279,6 +279,34 @@ def test_meet_projection():
     assert np.allclose(M.matrix, np.diag([0.0, 1.0, 0.0]), atol=1e-9)
 
 
+def _outer_sum(vectors, dim):
+    """The reference for V @ V^H: one outer product per selected vector."""
+    R = np.zeros((dim, dim), dtype=complex)
+    for v in vectors:
+        R += np.outer(v, v.conj())
+    return R
+
+
+def test_projections_match_the_outer_product_loop():
+    # only the summation order changes, so float64 rounding bounds the gap
+    rng = np.random.default_rng(5)
+    for dim in (2, 3, 4, 6):
+        for _ in range(10):
+            U, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+            A, B = (rng.random(dim) < 0.6 for _ in range(2))
+            PA, PB = U[:, A] @ U[:, A].conj().T, U[:, B] @ U[:, B].conj().T
+            evals, vecs = np.linalg.eigh(2 * np.eye(dim) - PA - PB)
+            R = _outer_sum([vecs[:, k] for k in range(dim) if evals[k] <= h.EPS_RECON], dim)
+            M = meet_projection(PA, PB).matrix
+            assert np.max(np.abs(M - (R + R.conj().T) / 2)) <= 1e-12
+            assert np.max(np.abs(M - U[:, A & B] @ U[:, A & B].conj().T)) <= 1e-8
+            weights = rng.random(dim) * (rng.random(dim) < 0.7)
+            weights[0] += 0.1
+            W = DensityOperator(U @ np.diag(weights / weights.sum()) @ U.conj().T)
+            Q = _outer_sum([v for p, v in eigendecomposition(W) if p > h.EPS], dim)
+            assert np.max(np.abs(h.support_projection(W) - Q)) <= 1e-12
+
+
 def test_type_invariants_enforced():
     with pytest.raises(h.InvalidOperator):
         DensityOperator(np.array([[1.0, 0.5], [0.0, 0.0]]))  # not Hermitian

@@ -125,12 +125,11 @@ def test_partition_property_holds_on_fixture():
 def test_partition_property_detects_orphans():
     w = two_lab_world()
     states = partition_states(w)
-    corrupt = LabWorld(w.labs, w.preparers, w.registerers, w.ideal, w.objects,
-                       domains={"j1": tuple(o.name for o in w.objects["j1"]) + ("ghost",),
-                                "j2": tuple(o.name for o in w.objects["j2"])})
-    ok, problems = check_partition_property(corrupt, states)
+    dropped = states[0]
+    ok, problems = check_partition_property(w, states[1:])
     assert not ok
-    assert any("ghost" in p for p in problems)
+    for lab in w.labs:
+        assert f"lab {lab}: objects {sorted(dropped.extensions[lab])} have no state" in problems
 
 
 def test_partition_property_detects_overlap():

@@ -342,6 +342,21 @@ def test_cli_input_errors():
     assert cli("nonsense-command", fx("bell.hilbert"))[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["decompose", fx("mixed_w.hilbert"), "--parts", "3", "--seed", "-1"],
+    ["decompose", fx("mixed_w.hilbert"), "--parts", "3", "--samples", "-2"],
+    ["decompose", fx("mixed_w.hilbert"), "--parts", "3", "--samples", "0"],
+    ["subentity-search", fx("part_pure.sps"), fx("whole_bell.sps"), "--budget", "-5"],
+    ["evolve", fx("cnot_evolve.hilbert"), "--eps", "nan"],
+    ["evolve", fx("cnot_evolve.hilbert"), "--eps", "inf"],
+    ["evolve", fx("cnot_evolve.hilbert"), "--eps=-0.5"],
+], ids=lambda argv: " ".join(a for a in argv if "/" not in a))
+def test_cli_rejects_numeric_option_out_of_range(argv):
+    code, out, err = cli(*argv)
+    assert code == 2 and out == ""
+    assert err.count("error: argument --") == 1 and "Traceback" not in err
+
+
 def test_cli_out_flag(tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = cli("ptrace", fx("bell.hilbert"), "--format", "machine",
@@ -386,3 +401,7 @@ def test_cli_eps_env_and_flag(monkeypatch):
     code, out, err = cli("evolve", fx("cnot_evolve.hilbert"))
     assert code == 2 and out == ""
     assert "argument --eps: invalid float value: 'not-a-number'" in err
+    monkeypatch.setenv("SUBENTITY_LAB_EPS", "nan")
+    code, out, err = cli("evolve", fx("cnot_evolve.hilbert"))
+    assert code == 2 and out == ""
+    assert "argument --eps: must be a finite value >= 0, got 'nan'" in err

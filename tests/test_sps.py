@@ -12,7 +12,7 @@ from subentity_lab.hilbert import (
     jacobi_eigh,
     meet_projection,
 )
-from subentity_lab.lattice import build_lattice
+from subentity_lab.lattice import build_lattice, meet
 from subentity_lab.sps import (
     Def1MeetClosureViolation,
     Def1TopBottomViolation,
@@ -25,6 +25,7 @@ from subentity_lab.sps import (
 )
 
 from conftest import BELL, CORPUS, PLUS, Z0, Z1, boolean_square, chain, proj
+from test_axioms import bounded_lattices
 
 
 def two_state_square():
@@ -246,3 +247,63 @@ def test_quantum_sps_against_round_based_closure(family):
     for got in (q.prop_ops, closed):
         assert len(got) == len(mats)
         assert all(np.max(np.abs(P.matrix - M)) <= EPS_MATCH for P, M in zip(got, mats))
+
+
+# --- build_sps against the frozenset formulation --------------------------
+
+
+def oracle_build_sps(lattice, num_states, actuality):
+    """(xi, kappa) by the frozenset formulation, raising as build_sps does."""
+    xi = tuple(frozenset(a for a in range(lattice.size) if row[a]) for row in actuality)
+    for p in range(num_states):
+        if lattice.top not in xi[p]:
+            raise Def1TopBottomViolation(p, "top property is not actual")
+        if lattice.bottom in xi[p]:
+            raise Def1TopBottomViolation(p, "bottom property is actual")
+        m = meet(lattice, xi[p])
+        if m not in xi[p]:
+            raise Def1MeetClosureViolation(p, sorted(xi[p]))
+        for x in range(lattice.size):
+            if lattice.leq[m][x] and x not in xi[p]:
+                raise Def1MeetClosureViolation(p, (m, x))
+    kappa = tuple(
+        frozenset(p for p in range(num_states) if a in xi[p]) for a in range(lattice.size))
+    return xi, kappa
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except Exception as exc:
+        return type(exc), exc.args, vars(exc)
+
+
+@st.composite
+def actuality_tables(draw):
+    """A lattice and a table whose rows are principal filters, perturbed ones, or random."""
+    L = build_lattice(*draw(bounded_lattices()))
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(("filter", "perturbed", "random")))
+        if kind == "random":
+            rows.append(draw(st.lists(st.booleans(), min_size=L.size, max_size=L.size)))
+            continue
+        row = list(L.leq[draw(st.integers(0, L.size - 1))])
+        if kind == "perturbed":
+            for a in draw(st.lists(st.integers(0, L.size - 1), min_size=1, max_size=2)):
+                row[a] = not row[a]
+        rows.append(row)
+    return L, rows
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(actuality_tables())
+def test_build_sps_against_frozenset_formulation(table):
+    L, rows = table
+    expected = _outcome(oracle_build_sps, L, len(rows), rows)
+    got = _outcome(build_sps, L, len(rows), rows)
+    if isinstance(expected[0], type):
+        assert got == expected
+        return
+    assert (got.xi, got.kappa) == expected
+    assert all(got.strongest[p] == meet(L, got.xi[p]) for p in range(len(rows)))

@@ -19,7 +19,8 @@ from subentity_lab.subentity import (
 )
 from subentity_lab.sps import atomic_sps, build_sps, quantum_sps
 
-from conftest import BELL, MINUS, PLUS, Z0, Z1, boolean_square, chain, ket, proj
+from conftest import (BELL, MINUS, PLUS, Z0, Z1, boolean, boolean_square, chain, ket, mo,
+                      proj)
 
 
 def oracle_witnesses(part, whole):
@@ -164,6 +165,29 @@ def test_budget_exhaustion_reproducible():
         assert exc.value.budget == 7
 
 
+# Each pair's node threshold: the search decides at this budget and runs out
+# one node below it.  A faster search may lower these; it must not move them
+# while only the representation changes.
+THRESHOLDS = {
+    "pure-bell": (lambda: (pure_part_sps().sps, bell_whole_sps().sps), 2676, None),
+    "B2-B4": (lambda: (atomic_sps(boolean(2)), atomic_sps(boolean(4))), 358,
+              SubentityWitness(m=(0, 1, 1, 1), n=(0, 1, 14, 15))),
+    "MO2-B4": (lambda: (atomic_sps(mo(2)), atomic_sps(boolean(4))), 401,
+               SubentityWitness(m=(0, 1, 2, 3), n=(0, 1, 2, 4, 8, 15))),
+    "B2-MO3": (lambda: (atomic_sps(boolean(2)), atomic_sps(mo(3))), 3760, None),
+    "B2-MO4": (lambda: (atomic_sps(boolean(2)), atomic_sps(mo(4))), 10900, None),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(THRESHOLDS))
+def test_search_node_threshold(pair):
+    build, nodes, witness = THRESHOLDS[pair]
+    part, whole = build()
+    assert search_witness(part, whole, budget=nodes) == witness
+    with pytest.raises(BudgetExhausted):
+        search_witness(part, whole, budget=nodes - 1)
+
+
 # --- the quantum story ----------------------------------------------------
 
 
@@ -224,10 +248,10 @@ def test_wrong_factor_lifting_breaks_covariance():
     model = build_completed_model((2, 2), [proj(psi)], [proj(Z0), proj(Z1)])
     assert canonical_witness_check(model)
     eps = 1e-9
-    W = model.whole_states[0]
+    W = model.whole.state_ops[0]
     R = partial_trace(W, 2, 2, "A")
     broken = False
-    for P in model.part_props:
+    for P in model.part.prop_ops:
         wrong = tensor(np.eye(2), P.matrix)
         lhs = np.trace(W.matrix @ wrong).real >= 1 - eps
         rhs = np.trace(R.matrix @ P.matrix).real >= 1 - eps
