@@ -7,13 +7,16 @@ tolerance, subentity-quantum and evolve, take it from --eps, falling back
 to the SUBENTITY_LAB_EPS environment variable, then the built-in default;
 the other commands refuse --eps.  Numeric options are checked as they are
 parsed: a negative --seed or --budget, a --samples below 1, or an --eps
-that is negative or not finite is a usage error (exit 2).
+that is negative or not finite is a usage error (exit 2).  The argument
+parser is built once per process, on the first call; SUBENTITY_LAB_EPS is
+still read on every call.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
@@ -312,18 +315,18 @@ def _cmd_evolve(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
+    """The parser and its --eps action; run_cli sets that action's default."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("human", "machine"), default="human")
     common.add_argument("--out", default=None, help="write the report to a file")
 
-    # a string default (the environment variable) is parsed like the flag,
-    # and only for the commands that take this parent
+    # the commands that take this parent share the one action object
     tolerance = argparse.ArgumentParser(add_help=False)
-    tolerance.add_argument("--eps", type=_at_least(float, 0),
-                           default=os.environ.get("SUBENTITY_LAB_EPS", EPS),
-                           help="actuality tolerance (default %(default)s, from "
-                                "SUBENTITY_LAB_EPS if set)")
+    eps = tolerance.add_argument("--eps", type=_at_least(float, 0), default=EPS,
+                                 help="actuality tolerance (default %(default)s, from "
+                                      "SUBENTITY_LAB_EPS if set)")
 
     ap = argparse.ArgumentParser(prog="subentity-lab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -377,14 +380,17 @@ def _build_parser():
                        help="reduced purity before/after a unitary step")
     p.add_argument("file")
     p.set_defaults(func=_cmd_evolve)
-    return ap
+    return ap, eps
 
 
 def run_cli(argv, stdout=None, stderr=None):
     """Run one command; returns the exit code and writes the report to stdout."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    ap = _build_parser()
+    ap, eps = _build_parser()
+    # a string default (the environment variable) is parsed like the flag,
+    # and only for the commands that take --eps
+    eps.default = os.environ.get("SUBENTITY_LAB_EPS", EPS)
     try:  # usage errors and --help go to the streams the caller passed
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             args = ap.parse_args(argv)

@@ -37,7 +37,7 @@ class WorldInvalid(LecceError):
 class LabObject:
     name: str
     preparer: str
-    outcomes: tuple  # (register name, bool) pairs covering every registering device
+    outcomes: tuple  # (register name, bool) pairs covering every registering device exactly once
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def _tally(w):
         by_prep, by_reg = defaultdict(set), defaultdict(set)
         for o in w.objects[lab]:
             by_prep[o.preparer].add(o.name)
-            for r, answer in dict(o.outcomes).items():
+            for r, answer in o.outcomes:
                 if answer:
                     by_reg[r].add(o.name)
         preps[lab] = {pi: frozenset(by_prep[pi]) for pi in w.preparers}

@@ -332,8 +332,11 @@ def _parse_labworld_body(doc, by_name):
         if len(set(names)) != len(names):
             dup = next(x for i, x in enumerate(names) if x in names[:i])
             raise ModelSchemaError("devices", f"{kind} device {dup} listed twice")
-    reg_names = set(regs)
-    unknown_ideal = [r for r in ideal if r not in reg_names]
+    for r in regs:
+        if "=" in r:  # no REGISTER=yes|no token could name it
+            raise ModelSchemaError("devices", f"reg device {r} contains '='")
+    reg_index = {r: i for i, r in enumerate(regs)}
+    unknown_ideal = [r for r in ideal if r not in reg_index]
     if unknown_ideal:
         raise ModelSchemaError("devices", f"ideal flags for unknown devices {unknown_ideal}")
     labs = []
@@ -357,13 +360,14 @@ def _parse_labworld_body(doc, by_name):
             seen.add(obj)
             if prep not in preps:
                 raise ModelSchemaError(f"lab {lab}", f"unknown preparer {prep}")
-            outcomes = []
+            outcomes = [None] * len(regs)  # registerer order, the order serialize_model writes
             for tok in parts[2:]:
                 r, _, ans = tok.partition("=")
-                if r not in reg_names or ans not in ("yes", "no"):
+                i = reg_index.get(r)
+                if i is None or ans not in ("yes", "no"):
                     raise ModelSyntaxError(lineno, 1 + line.find(tok), "REGISTER=yes|no")
-                outcomes.append((r, ans == "yes"))
-            if len({r for r, _ in outcomes}) != len(regs):
+                outcomes[i] = (r, ans == "yes")
+            if None in outcomes:  # as many tokens as registers, so one was answered twice
                 raise ModelSchemaError(f"lab {lab}", f"object {obj} must answer every register once")
             rows.append(LabObject(name=obj, preparer=prep, outcomes=tuple(outcomes)))
         objects[lab] = tuple(rows)

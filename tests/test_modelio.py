@@ -2,11 +2,14 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from subentity_lab import cli as cli_module
 from subentity_lab.cli import run_cli
 from subentity_lab.modelio import (
     ModelIOError,
@@ -182,10 +185,19 @@ def test_labworld_schema_checks():
         parse_model(two + "x p r1=yes r3=no\n")
 
 
+def test_labworld_outcomes_in_registerer_order():
+    doc = parse_model("[meta]\nkind = labworld\n\n[devices]\nprep P0\nreg A B\n\n"
+                      "[lab j]\no1 P0 B=no A=yes\n")
+    (o1,) = doc.body["world"].objects["j"]
+    assert o1.outcomes == (("A", True), ("B", False))
+    assert parse_model(serialize_model(doc)) == doc
+
+
 @pytest.mark.parametrize("devices,reason", [
     ("prep p1 p2\nprep p2\nreg r1 r2", "prep device p2 listed twice"),
     ("prep p1 p2\nreg r1 r2 r1", "reg device r1 listed twice"),
     ("prep p1 p2\nreg r1 r2\nideal r2 r2", "ideal device r2 listed twice"),
+    ("prep p1 p2\nreg r1 r2 a=b", "reg device a=b contains '='"),
 ])
 def test_labworld_rejects_repeated_device_names(devices, reason):
     text = (f"[meta]\nkind = labworld\n\n[devices]\n{devices}\n\n"
@@ -405,3 +417,38 @@ def test_cli_eps_env_and_flag(monkeypatch):
     code, out, err = cli("evolve", fx("cnot_evolve.hilbert"))
     assert code == 2 and out == ""
     assert "argument --eps: must be a finite value >= 0, got 'nan'" in err
+
+
+def test_cli_builds_the_parser_once_and_reads_eps_every_call(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # keep each help entry on one line
+    cli_module._build_parser.cache_clear()
+    monkeypatch.setenv("SUBENTITY_LAB_EPS", "1.0")
+    code, out, _ = cli("evolve", fx("cnot_evolve.hilbert"), "--format", "machine")
+    assert code == 0 and json.loads(out)["verdicts"][0]["nonunitary_reduction"] is False
+    assert "(default 1.0, from SUBENTITY_LAB_EPS if set)" in cli("evolve", "--help")[1]
+    monkeypatch.setenv("SUBENTITY_LAB_EPS", "not-a-number")
+    code, out, err = cli("evolve", fx("cnot_evolve.hilbert"))
+    assert code == 2 and out == ""
+    assert "argument --eps: invalid float value: 'not-a-number'" in err
+    code, out, err = cli("subentity-quantum", fx("bell_completed.model"))
+    assert code == 2 and "argument --eps: invalid float value: 'not-a-number'" in err
+    assert cli("check-axioms", fx("o6.lattice"))[0] == 1  # takes no --eps
+    monkeypatch.delenv("SUBENTITY_LAB_EPS")
+    code, out, _ = cli("evolve", fx("cnot_evolve.hilbert"), "--format", "machine")
+    assert code == 0 and json.loads(out)["verdicts"][0]["nonunitary_reduction"] is True
+    assert "(default 1e-09, from SUBENTITY_LAB_EPS if set)" in cli("evolve", "--help")[1]
+    info = cli_module._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 6)
+
+
+def test_cli_fresh_interpreter_matches_golden():
+    # the first-call path: the in-process golden tests reuse a built parser
+    src = Path(__file__).parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-m", "subentity_lab.cli", "check-axioms", fx("o6.lattice"),
+         "--format", "machine"], capture_output=True, text=True, env=env, timeout=60)
+    golden = Path(__file__).parent / "golden" / "check-axioms__o6.lattice.machine"
+    assert (run.returncode, run.stderr) == (1, "")  # no finite model passes every axiom
+    assert run.stdout == golden.read_text()
