@@ -1,15 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 = ran and the primary verdict is positive, 1 = ran and the
-verdict is negative (an axiom failed, no witness found, ...), 2 = input
-error, 3 = search budget exhausted.  The two commands that use a
-tolerance, subentity-quantum and evolve, take it from --eps, falling back
-to the SUBENTITY_LAB_EPS environment variable, then the built-in default;
-the other commands refuse --eps.  Numeric options are checked as they are
-parsed: a negative --seed or --budget, a --samples below 1, or an --eps
-that is negative or not finite is a usage error (exit 2).  The argument
-parser is built once per process, on the first call; SUBENTITY_LAB_EPS is
-still read on every call.
+DESCRIPTION, the text `--help` shows, states the exit codes and the
+option rules.  The argument parser is built once per process, on the
+first call; SUBENTITY_LAB_EPS is still read on every call.
 """
 
 from __future__ import annotations
@@ -35,6 +28,19 @@ from .modelio import (
     parse_model,
 )
 from .sps import SPSError, atomic_sps, build_sps, quantum_sps
+
+
+DESCRIPTION = """\
+Finite-model toolkit for state property systems, quantum axiom checking and
+the subentity problem.  Exit codes: 0 = ran and the primary verdict is
+positive, 1 = ran and the verdict is negative (an axiom failed, no witness
+found, ...), 2 = input error, 3 = search budget exhausted.  The two commands
+that use a tolerance, subentity-quantum and evolve, take it from --eps,
+falling back to the SUBENTITY_LAB_EPS environment variable, then the
+built-in default; the other commands refuse --eps.  Numeric options are
+checked as they are parsed: a negative --seed or --budget, a --samples below
+1, or an --eps that is negative or not finite is a usage error (exit 2).
+"""
 
 
 class _InputError(Exception):
@@ -328,7 +334,7 @@ def _build_parser():
                                  help="actuality tolerance (default %(default)s, from "
                                       "SUBENTITY_LAB_EPS if set)")
 
-    ap = argparse.ArgumentParser(prog="subentity-lab", description=__doc__)
+    ap = argparse.ArgumentParser(prog="subentity-lab", description=DESCRIPTION)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check-axioms", parents=[common],

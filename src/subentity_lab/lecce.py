@@ -35,9 +35,16 @@ class WorldInvalid(LecceError):
 
 @dataclass(frozen=True)
 class LabObject:
+    """One physical object of a lab's roster.
+
+    outcomes holds (register name, bool) pairs covering every registering
+    device exactly once.  Rows parsed from one document are in registerer
+    order, and rows with the same outcome text share one outcomes tuple.
+    """
+
     name: str
     preparer: str
-    outcomes: tuple  # (register name, bool) pairs covering every registering device exactly once
+    outcomes: tuple
 
 
 @dataclass(frozen=True)

@@ -109,6 +109,15 @@ def _strip(line):
     return line.strip()
 
 
+def _field_col(line, k):
+    """1-based column of the k-th (0-based) whitespace-separated field of line."""
+    end = 0
+    for tok in line.split()[:k + 1]:
+        start = line.find(tok, end)  # only whitespace lies between end and the field
+        end = start + len(tok)
+    return start + 1
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -335,10 +344,15 @@ def _parse_labworld_body(doc, by_name):
     for r in regs:
         if "=" in r:  # no REGISTER=yes|no token could name it
             raise ModelSchemaError("devices", f"reg device {r} contains '='")
-    reg_index = {r: i for i, r in enumerate(regs)}
-    unknown_ideal = [r for r in ideal if r not in reg_index]
+    unknown_ideal = [r for r in ideal if r not in regs]
     if unknown_ideal:
         raise ModelSchemaError("devices", f"ideal flags for unknown devices {unknown_ideal}")
+    # each valid outcome token, looked up once: token -> (register index, outcome pair)
+    tokens = {}
+    for i, r in enumerate(regs):
+        tokens[r + "=yes"] = (i, (r, True))
+        tokens[r + "=no"] = (i, (r, False))
+    known = {}  # outcome text -> its validated outcomes tuple, shared by equal rows
     labs = []
     objects = {}
     for key in [k for k in by_name if k and k[0] == "lab"]:
@@ -350,26 +364,33 @@ def _parse_labworld_body(doc, by_name):
         rows = []
         seen = set()
         for lineno, line in lines:
-            parts = line.split()
-            if len(parts) != 2 + len(regs):
-                raise ModelSyntaxError(
-                    lineno, 1, f"object, preparer, and {len(regs)} outcome assignments")
+            parts = line.split(None, 2)
+            # every known text answers a register, so "" always takes the field-count check
+            text = parts[2] if len(parts) == 3 else ""
+            outcomes = known.get(text)
+            if outcomes is None:
+                toks = text.split()
+                if len(toks) != len(regs):
+                    raise ModelSyntaxError(
+                        lineno, 1, f"object, preparer, and {len(regs)} outcome assignments")
             obj, prep = parts[0], parts[1]
             if obj in seen:
                 raise ModelSchemaError(f"lab {lab}", f"object {obj} listed twice")
             seen.add(obj)
             if prep not in preps:
                 raise ModelSchemaError(f"lab {lab}", f"unknown preparer {prep}")
-            outcomes = [None] * len(regs)  # registerer order, the order serialize_model writes
-            for tok in parts[2:]:
-                r, _, ans = tok.partition("=")
-                i = reg_index.get(r)
-                if i is None or ans not in ("yes", "no"):
-                    raise ModelSyntaxError(lineno, 1 + line.find(tok), "REGISTER=yes|no")
-                outcomes[i] = (r, ans == "yes")
-            if None in outcomes:  # as many tokens as registers, so one was answered twice
-                raise ModelSchemaError(f"lab {lab}", f"object {obj} must answer every register once")
-            rows.append(LabObject(name=obj, preparer=prep, outcomes=tuple(outcomes)))
+            if outcomes is None:
+                outcomes = [None] * len(regs)  # registerer order, the order serialize_model writes
+                for j, tok in enumerate(toks):
+                    hit = tokens.get(tok)
+                    if hit is None:
+                        raise ModelSyntaxError(lineno, _field_col(line, 2 + j), "REGISTER=yes|no")
+                    outcomes[hit[0]] = hit[1]
+                if None in outcomes:  # as many tokens as registers, so one was answered twice
+                    raise ModelSchemaError(f"lab {lab}",
+                                           f"object {obj} must answer every register once")
+                outcomes = known[text] = tuple(outcomes)
+            rows.append(LabObject(name=obj, preparer=prep, outcomes=outcomes))
         objects[lab] = tuple(rows)
     if not labs:
         raise ModelSchemaError("lab", "labworld document needs at least one [lab] section")
@@ -422,13 +443,18 @@ def serialize_model(doc):
                        ["prep " + " ".join(w.preparers),
                         "reg " + " ".join(w.registerers)]
                        + (["ideal " + " ".join(sorted(w.ideal))] if w.ideal else [])))
+        yes = {r: r + "=yes" for r in w.registerers}
+        no = {r: r + "=no" for r in w.registerers}
+        texts = {}  # id of an outcomes tuple -> its text; parsed rows share tuples
         for lab in w.labs:
             rows = []
             for o in w.objects[lab]:
-                answers = dict(o.outcomes)
-                rows.append(o.name + " " + o.preparer + " "
-                            + " ".join(f"{r}={'yes' if answers[r] else 'no'}"
-                                       for r in w.registerers))
+                text = texts.get(id(o.outcomes))
+                if text is None:
+                    answers = dict(o.outcomes)
+                    text = texts[id(o.outcomes)] = " ".join(
+                        [yes[r] if answers[r] else no[r] for r in w.registerers])
+                rows.append(f"{o.name} {o.preparer} {text}")
             chunks.append(("lab %s" % lab, rows))
     # sections in canonical sorted order; actuality rows and lab rows keep
     # their semantic order, everything else is already sorted above

@@ -2,16 +2,23 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subentity_lab import cli as cli_module
+from subentity_lab import modelio
 from subentity_lab.cli import run_cli
+from subentity_lab.lecce import LabObject, LabWorld
 from subentity_lab.modelio import (
+    ModelDocument,
     ModelIOError,
     ModelSchemaError,
     ModelSyntaxError,
@@ -205,6 +212,222 @@ def test_labworld_rejects_repeated_device_names(devices, reason):
     with pytest.raises(ModelSchemaError) as exc:
         parse_model(text)
     assert (exc.value.section, exc.value.reason) == ("devices", reason)
+
+
+LAB_HEAD = "[meta]\nkind = labworld\n\n[devices]\nprep P Q\nreg A B\n\n[lab j]\n"  # rows from line 9
+ONE_REG_HEAD = "[meta]\nkind = labworld\n\n[devices]\nprep p\nreg r\n\n[lab j]\n"
+FIELDS = "expected object, preparer, and 2 outcome assignments"
+
+
+MALFORMED_ROWS = [  # (id, head, rows, exception type, message)
+    ("short", LAB_HEAD, "x P A=yes", ModelSyntaxError, f"line 9, col 1: {FIELDS}"),
+    ("long", LAB_HEAD, "x P A=yes B=no A=no", ModelSyntaxError, f"line 9, col 1: {FIELDS}"),
+    ("object-only", LAB_HEAD, "x", ModelSyntaxError, f"line 9, col 1: {FIELDS}"),
+    # a one-register row without its preparer, after a row with the same outcome text
+    ("no-preparer", ONE_REG_HEAD, "y p r=yes\nx r=yes", ModelSyntaxError,
+     "line 10, col 1: expected object, preparer, and 1 outcome assignments"),
+    ("object-twice", LAB_HEAD, "x P A=yes B=no\nx Q A=no B=no", ModelSchemaError,
+     "section [lab j]: object x listed twice"),
+    ("object-twice-same-text", LAB_HEAD, "x P A=yes B=no\nx P A=yes B=no", ModelSchemaError,
+     "section [lab j]: object x listed twice"),
+    ("unknown-preparer", LAB_HEAD, "x R A=yes B=no", ModelSchemaError,
+     "section [lab j]: unknown preparer R"),
+    ("unknown-preparer-seen-text", LAB_HEAD, "y P A=yes B=no\nx R A=yes B=no", ModelSchemaError,
+     "section [lab j]: unknown preparer R"),
+    # bad REGISTER=yes|no tokens, each at its own column
+    ("bad-answer", LAB_HEAD, "x P A=maybe B=no", ModelSyntaxError,
+     "line 9, col 5: expected REGISTER=yes|no"),
+    ("unknown-register", LAB_HEAD, "x P A=yes C=no", ModelSyntaxError,
+     "line 9, col 11: expected REGISTER=yes|no"),
+    ("no-answer", LAB_HEAD, "x P A=yes B=", ModelSyntaxError,
+     "line 9, col 11: expected REGISTER=yes|no"),
+    ("no-register", LAB_HEAD, "x P A=yes =no", ModelSyntaxError,
+     "line 9, col 11: expected REGISTER=yes|no"),
+    ("token-text-seen-earlier", LAB_HEAD, "B=maybe P A=yes B=maybe", ModelSyntaxError,
+     "line 9, col 17: expected REGISTER=yes|no"),
+    ("tabs", LAB_HEAD, "x\tP \t A=yes\t\tB=maybe", ModelSyntaxError,
+     "line 9, col 14: expected REGISTER=yes|no"),
+    ("indented-with-comment", LAB_HEAD, "  x P A=yes B=maybe  # note", ModelSyntaxError,
+     "line 9, col 11: expected REGISTER=yes|no"),  # columns count from the stripped row
+    ("register-twice", LAB_HEAD, "x P A=yes A=no", ModelSchemaError,
+     "section [lab j]: object x must answer every register once"),
+    # which fault wins: field count, then object, preparer, token, register answered twice
+    ("count-beats-object", LAB_HEAD, "x P A=yes B=no\nx R A=maybe", ModelSyntaxError,
+     f"line 10, col 1: {FIELDS}"),
+    ("object-beats-preparer", LAB_HEAD, "x P A=yes B=no\nx R A=maybe B=no", ModelSchemaError,
+     "section [lab j]: object x listed twice"),
+    ("preparer-beats-token", LAB_HEAD, "x R A=maybe B=no", ModelSchemaError,
+     "section [lab j]: unknown preparer R"),
+    ("token-beats-twice", LAB_HEAD, "x P A=yes A=maybe", ModelSyntaxError,
+     "line 9, col 11: expected REGISTER=yes|no"),
+]
+
+
+@pytest.mark.parametrize("head,rows,exc_type,message", [c[1:] for c in MALFORMED_ROWS],
+                         ids=[c[0] for c in MALFORMED_ROWS])
+def test_labworld_malformed_rows(head, rows, exc_type, message):
+    with pytest.raises(ModelIOError) as exc:
+        parse_model(head + rows + "\n")
+    assert (type(exc.value), str(exc.value)) == (exc_type, message)
+
+
+def test_labworld_rows_with_equal_outcome_text_share_one_tuple():
+    doc = parse_model(LAB_HEAD + "x P A=yes B=no\ny Q A=yes B=no\nz Q B=no A=yes\n"
+                      "\n[lab k]\nx Q A=yes B=no\ny P A=no B=no\n")
+    w = doc.body["world"]
+    (x, y, z), (kx, ky) = w.objects["j"], w.objects["k"]
+    assert x.outcomes is y.outcomes is kx.outcomes
+    assert z.outcomes == x.outcomes == (("A", True), ("B", False))
+    assert ky.outcomes == (("A", False), ("B", False))
+
+
+def test_labworld_serializes_hand_built_rows_in_registerer_order():
+    rows = (LabObject("x", "P", (("B", False), ("A", True))),
+            LabObject("y", "P", (("A", True), ("B", False))))
+    doc = ModelDocument(kind="labworld", body={"world": LabWorld(
+        labs=("j",), preparers=("P",), registerers=("A", "B"), ideal=frozenset(),
+        objects={"j": rows})})
+    text = serialize_model(doc).decode()
+    assert text.endswith("[lab j]\nx P A=yes B=no\ny P A=yes B=no\n")
+    assert parse_model(text).body["world"].objects["j"] == (
+        LabObject("x", "P", (("A", True), ("B", False))),
+        LabObject("y", "P", (("A", True), ("B", False))))
+
+
+def _per_token_labworld_body(doc, by_name):
+    """The per-token row loop the memoized parser replaced, kept as its oracle.
+
+    Unchanged except that a bad token is reported at its own column.
+    """
+    dev = by_name.pop(("devices",), None)
+    if dev is None:
+        raise ModelSchemaError("devices", "missing [devices] section")
+    preps, regs, ideal = [], [], []
+    for lineno, line in dev:
+        parts = line.split()
+        target = {"prep": preps, "reg": regs, "ideal": ideal}.get(parts[0])
+        if target is None:
+            raise ModelSyntaxError(lineno, 1, "'prep', 'reg' or 'ideal' device list")
+        target.extend(parts[1:])
+    if not preps or not regs:
+        raise ModelSchemaError("devices", "need at least one preparing and one registering device")
+    for kind, names in (("prep", preps), ("reg", regs), ("ideal", ideal)):
+        if len(set(names)) != len(names):
+            dup = next(x for i, x in enumerate(names) if x in names[:i])
+            raise ModelSchemaError("devices", f"{kind} device {dup} listed twice")
+    for r in regs:
+        if "=" in r:
+            raise ModelSchemaError("devices", f"reg device {r} contains '='")
+    reg_index = {r: i for i, r in enumerate(regs)}
+    unknown_ideal = [r for r in ideal if r not in reg_index]
+    if unknown_ideal:
+        raise ModelSchemaError("devices", f"ideal flags for unknown devices {unknown_ideal}")
+    labs = []
+    objects = {}
+    for key in [k for k in by_name if k and k[0] == "lab"]:
+        lines = by_name.pop(key)
+        if len(key) != 2:
+            raise ModelSchemaError(" ".join(key), "header must be [lab NAME]")
+        lab = key[1]
+        labs.append(lab)
+        rows = []
+        seen = set()
+        for lineno, line in lines:
+            parts = line.split()
+            if len(parts) != 2 + len(regs):
+                raise ModelSyntaxError(
+                    lineno, 1, f"object, preparer, and {len(regs)} outcome assignments")
+            obj, prep = parts[0], parts[1]
+            if obj in seen:
+                raise ModelSchemaError(f"lab {lab}", f"object {obj} listed twice")
+            seen.add(obj)
+            if prep not in preps:
+                raise ModelSchemaError(f"lab {lab}", f"unknown preparer {prep}")
+            outcomes = [None] * len(regs)
+            for j, tok in enumerate(parts[2:]):
+                r, _, ans = tok.partition("=")
+                i = reg_index.get(r)
+                if i is None or ans not in ("yes", "no"):
+                    col = [m.start() + 1 for m in re.finditer(r"\S+", line)][2 + j]
+                    raise ModelSyntaxError(lineno, col, "REGISTER=yes|no")
+                outcomes[i] = (r, ans == "yes")
+            if None in outcomes:
+                raise ModelSchemaError(f"lab {lab}", f"object {obj} must answer every register once")
+            rows.append(LabObject(name=obj, preparer=prep, outcomes=tuple(outcomes)))
+        objects[lab] = tuple(rows)
+    if not labs:
+        raise ModelSchemaError("lab", "labworld document needs at least one [lab] section")
+    for lab in labs:
+        present = {o.preparer for o in objects[lab]}
+        missing = [p for p in preps if p not in present]
+        if missing:
+            raise ModelSchemaError(f"lab {lab}", f"preparers {missing} have empty extensions")
+    doc.body["world"] = LabWorld(
+        labs=tuple(sorted(labs)), preparers=tuple(preps), registerers=tuple(regs),
+        ideal=frozenset(ideal), objects=objects)
+
+
+def _outcome_or_error(text):
+    try:
+        return parse_model(text)
+    except ModelIOError as exc:
+        return type(exc), str(exc)
+
+
+# corruptions of one row, given as its fields: each breaks one check or several
+CORRUPTIONS = (
+    lambda f: f[:-1],  # a token short
+    lambda f: f + [f[-1]],  # a token over
+    lambda f: f[:1] + f[2:],  # no preparer
+    lambda f: f[:2] + [f[2].replace("=", "=maybe")] + f[3:],
+    lambda f: f[:2] + ["Z=yes"] + f[3:],  # unknown register
+    lambda f: f[:2] + [f[-1]] + f[3:],  # a register answered twice (or unchanged)
+    lambda f: [f[0], "Pz"] + f[2:],  # unknown preparer
+    lambda f: ["o0"] + f[1:],  # duplicate object (or unchanged)
+    lambda f: [f[2]] + f[1:],  # object named like a token
+)
+
+
+@st.composite
+def lab_world_texts(draw):
+    """Worlds whose rows repeat a few outcome rows, under random spacing; half have one bad row."""
+    regs = draw(st.lists(st.sampled_from(["A", "B", "R1", "R2", "N"]),
+                         min_size=1, max_size=4, unique=True))
+    preps = draw(st.lists(st.sampled_from(["P", "Q", "P2"]), min_size=1, max_size=3, unique=True))
+    pool = draw(st.lists(st.tuples(*[st.booleans() for _ in regs]), min_size=1, max_size=3))
+    rows = []  # (lab, fields)
+    for lab in range(draw(st.integers(1, 3))):
+        for k in range(draw(st.integers(len(preps), 8))):
+            toks = [f"{r}={'yes' if a else 'no'}" for r, a in zip(regs, draw(st.sampled_from(pool)))]
+            if draw(st.booleans()):
+                toks = draw(st.permutations(toks))
+            rows.append((lab, [f"o{k}", preps[k % len(preps)]] + toks))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = (rows[i][0], draw(st.sampled_from(CORRUPTIONS))(rows[i][1]))
+    sep = st.text(st.sampled_from(" \t"), min_size=1, max_size=3)
+    edge = st.text(st.sampled_from(" \t"), max_size=2)
+    lines = ["[meta]", "kind = labworld", "", "[devices]", "prep " + " ".join(preps),
+             "reg " + " ".join(regs)]
+    for i, (lab, fields) in enumerate(rows):
+        if i == 0 or rows[i - 1][0] != lab:
+            lines += ["", f"[lab L{lab}]"]
+        row = draw(edge) + "".join(f + draw(sep) for f in fields)
+        lines.append(row.rstrip(" \t") + draw(edge))
+    return "\n".join(lines) + "\n"
+
+
+@given(lab_world_texts())
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_labworld_parser_matches_per_token_oracle(text):
+    got = _outcome_or_error(text)
+    with mock.patch.object(modelio, "_parse_labworld_body", _per_token_labworld_body):
+        want = _outcome_or_error(text)
+    assert got == want
+    if isinstance(got, ModelDocument):
+        data = serialize_model(got)
+        assert parse_model(data) == got
+        assert serialize_model(parse_model(data)) == data
 
 
 # --- fuzzing --------------------------------------------------------------
@@ -439,6 +662,25 @@ def test_cli_builds_the_parser_once_and_reads_eps_every_call(monkeypatch):
     assert "(default 1e-09, from SUBENTITY_LAB_EPS if set)" in cli("evolve", "--help")[1]
     info = cli_module._build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 6)
+
+
+def test_cli_help_shows_the_user_description_only():
+    code, out, _ = cli("--help")
+    assert code == 0
+    assert "Exit codes: 0 = ran and the primary verdict is positive" in " ".join(out.split())
+    assert "built once per process" not in out  # a note for library callers
+    assert "built once per process" in cli_module.__doc__
+
+
+@pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")  # beta before setuptools 68
+def test_pyproject_version_is_the_package_version():
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    import subentity_lab
+
+    project = read_configuration(Path(__file__).parents[1] / "pyproject.toml")["project"]
+    assert "version" in project["dynamic"]
+    assert project["version"] == subentity_lab.__version__
 
 
 def test_cli_fresh_interpreter_matches_golden():
