@@ -1,5 +1,12 @@
 """Command-line front end.
 
+Every subcommand takes one path.  `_build_parser` declares each one once:
+its help text, its handler, and the document kinds each file argument
+accepts.  `run_cli` reads, parses, kind-checks and digests every file
+argument (`_load`), starts the report, and calls the handler with it and
+the documents; the handler fills the report and returns the exit code.
+An input error at any step is one stderr line and exit 2.
+
 DESCRIPTION, the text `--help` shows, states the exit codes and the
 option rules.  The argument parser is built once per process, on the
 first call; SUBENTITY_LAB_EPS is still read on every call.
@@ -24,10 +31,11 @@ from .modelio import (
     ModelIOError,
     Report,
     format_complex,
+    format_row,
     input_digest,
     parse_model,
 )
-from .sps import SPSError, atomic_sps, build_sps, quantum_sps
+from .sps import SPSError, atomic_sps, build_sps
 
 
 DESCRIPTION = """\
@@ -47,7 +55,8 @@ class _InputError(Exception):
     pass
 
 
-def _load(path):
+def _load(path, kinds):
+    """Read, parse, kind-check and digest one file argument; returns (doc, digest)."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -56,28 +65,20 @@ def _load(path):
         doc = parse_model(data)
     except ModelIOError as exc:
         raise _InputError(f"{path}: {exc}")
+    if doc.kind not in kinds:
+        raise _InputError(f"{path}: expected a {' or '.join(kinds)} document, got {doc.kind}")
     return doc, input_digest(data)
 
 
-def _want(doc, path, *kinds):
-    if doc.kind not in kinds:
-        raise _InputError(f"{path}: expected a {' or '.join(kinds)} document, got {doc.kind}")
-
-
 def _doc_sps(doc, path):
+    """The system of an sps document, or the atomic system of a lattice document."""
     try:
         lat = build_lattice(doc.body["size"], doc.body["order"])
-    except LatticeError as exc:
-        raise _InputError(f"{path}: {exc}")
-    if doc.kind == "lattice":
-        try:
+        if doc.kind == "lattice":
             return atomic_sps(lat)
-        except SPSError as exc:
-            raise _InputError(f"{path}: {exc}")
-    try:
         return build_sps(lat, doc.body["num_states"], doc.body["actuality"])
-    except SPSError as exc:
-        raise _InputError(f"{path}: {exc}")
+    except (LatticeError, SPSError) as exc:
+        raise _InputError(f"{path}: {exc}") from exc
 
 
 def _matrix(doc, path, name):
@@ -108,28 +109,18 @@ def _at_least(parse, least):
     return convert
 
 
-def _fmt_matrix_lines(M):
-    return [" ".join(format_complex(M[i, j]) for j in range(M.shape[1]))
-            for i in range(M.shape[0])]
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each fills the report it is given and returns the exit code
 
 
-def _cmd_check_axioms(args):
-    doc, digest = _load(args.file)
-    _want(doc, args.file, "sps", "lattice")
-    S = _doc_sps(doc, args.file)
-    verdicts = axioms.run_battery(S)
-    rep = Report("check-axioms", digest)
+def _cmd_check_axioms(args, rep, doc):
+    verdicts = axioms.run_battery(_doc_sps(doc, args.file))
     for v in verdicts:
         rep.verdicts.append({
             "axiom": v.axiom,
             "passed": v.passed,
-            "witness": list(v.witness) if isinstance(v.witness, tuple) else v.witness,
-            "counterexample": list(v.counterexample)
-            if isinstance(v.counterexample, tuple) else v.counterexample,
+            "witness": v.witness,  # json writes a tuple as an array
+            "counterexample": v.counterexample,
             "note": v.note,
         })
         status = {True: "pass", False: "FAIL", None: "ambiguous"}[v.passed]
@@ -138,33 +129,26 @@ def _cmd_check_axioms(args):
             line += f"  ({v.note})"
         rep.human_lines.append(line)
     ok = all(v.passed for v in verdicts)
-    return rep, 0 if ok else 1
+    return 0 if ok else 1
 
 
-def _cmd_sps_check(args):
-    doc, digest = _load(args.file)
-    _want(doc, args.file, "sps")
-    rep = Report("sps-check", digest)
+def _cmd_sps_check(args, rep, doc):
     try:
-        lat = build_lattice(doc.body["size"], doc.body["order"])
-        build_sps(lat, doc.body["num_states"], doc.body["actuality"])
-    except (LatticeError, SPSError) as exc:
+        _doc_sps(doc, args.file)
+    except _InputError as exc:  # here a failed check is the verdict, not an input error
         rep.verdicts.append({"check": "state_property_system", "passed": False,
-                             "reason": str(exc)})
-        rep.human_lines.append(f"  not a state property system: {exc}")
-        return rep, 1
+                             "reason": str(exc.__cause__)})
+        rep.human_lines.append(f"  not a state property system: {exc.__cause__}")
+        return 1
     rep.verdicts.append({"check": "state_property_system", "passed": True, "reason": None})
     rep.human_lines.append("  valid state property system")
-    return rep, 0
+    return 0
 
 
-def _cmd_schmidt(args):
-    doc, digest = _load(args.file)
-    _want(doc, args.file, "hilbert")
+def _cmd_schmidt(args, rep, doc):
     dA, dB = _dims(doc, args.file)
     psi = _matrix(doc, args.file, "psi").reshape(-1)
     form = hilbert.schmidt(psi, dA, dB)
-    rep = Report("schmidt", digest)
     rep.verdicts.append({
         "rank": form.rank,
         "coefficients": [float(c) for c in form.coefficients],
@@ -173,12 +157,10 @@ def _cmd_schmidt(args):
     rep.human_lines.append(f"  rank {form.rank}  coefficients "
                            + " ".join("%.12g" % c for c in form.coefficients))
     rep.human_lines.append("  entangled" if form.rank > 1 else "  product state")
-    return rep, 0
+    return 0
 
 
-def _cmd_ptrace(args):
-    doc, digest = _load(args.file)
-    _want(doc, args.file, "hilbert")
+def _cmd_ptrace(args, rep, doc):
     dA, dB = _dims(doc, args.file)
     mats = doc.body["matrices"]
     if "W" in mats:
@@ -189,46 +171,38 @@ def _cmd_ptrace(args):
     else:
         raise _InputError(f"{args.file}: needs a matrix named W or psi")
     R = hilbert.partial_trace(W, dA, dB, keep=args.keep)
-    rep = Report("ptrace", digest)
+    purity = hilbert.purity(R)
     rep.verdicts.append({
         "keep": args.keep,
         "dim": R.dim,
-        "purity": hilbert.purity(R),
-        "matrix": [[format_complex(R.matrix[i, j]) for j in range(R.dim)]
-                   for i in range(R.dim)],
+        "purity": purity,
+        "matrix": [[format_complex(z) for z in row] for row in R.matrix],
     })
     rep.human_lines.append(f"  reduced operator on factor {args.keep} "
-                           f"(purity {hilbert.purity(R):.12g}):")
-    rep.human_lines.extend("    " + line for line in _fmt_matrix_lines(R.matrix))
-    return rep, 0
+                           f"(purity {purity:.12g}):")
+    rep.human_lines.extend("    " + format_row(row) for row in R.matrix)
+    return 0
 
 
-def _cmd_subentity_search(args):
-    part_doc, d1 = _load(args.part)
-    whole_doc, d2 = _load(args.whole)
-    _want(part_doc, args.part, "sps", "lattice")
-    _want(whole_doc, args.whole, "sps", "lattice")
+def _cmd_subentity_search(args, rep, part_doc, whole_doc):
     part = _doc_sps(part_doc, args.part)
     whole = _doc_sps(whole_doc, args.whole)
-    rep = Report("subentity-search", d1 + ":" + d2)
     try:
         w = subentity.search_witness(part, whole, budget=args.budget)
     except subentity.BudgetExhausted:
         rep.verdicts.append({"witness": None, "exhausted": True, "budget": args.budget})
         rep.human_lines.append(f"  budget of {args.budget} nodes exhausted before completion")
-        return rep, 3
+        return 3
     if w is None:
         rep.verdicts.append({"witness": None, "exhausted": False})
         rep.human_lines.append("  no subentity witness exists (exhaustive search)")
-        return rep, 1
+        return 1
     rep.verdicts.append({"witness": {"m": list(w.m), "n": list(w.n)}, "exhausted": False})
     rep.human_lines.append(f"  witness found: m = {list(w.m)}, n = {list(w.n)}")
-    return rep, 0
+    return 0
 
 
-def _cmd_subentity_quantum(args):
-    doc, digest = _load(args.file)
-    _want(doc, args.file, "hilbert")
+def _cmd_subentity_quantum(args, rep, doc):
     dims = _dims(doc, args.file)
     mats = doc.body["matrices"]
     wholes = [mats[k] for k in sorted(mats) if k.startswith("W")]
@@ -241,7 +215,6 @@ def _cmd_subentity_quantum(args):
         raise _InputError(f"{args.file}: {exc}")
     cov = subentity.canonical_witness_check(model, args.eps)
     ver = subentity.verify_witness(model.part.sps, model.whole.sps, model.witness)
-    rep = Report("subentity-quantum", digest)
     rep.verdicts.append({
         "canonical_covariance": cov,
         "witness_verified": ver.ok,
@@ -252,23 +225,19 @@ def _cmd_subentity_quantum(args):
     rep.human_lines.append(f"  canonical witness m = partial trace, n = tensor-identity")
     rep.human_lines.append(f"  covariance identity: {'holds' if cov else 'VIOLATED'}")
     rep.human_lines.append(f"  witness verification: {'ok' if ver.ok else ver.detail}")
-    return rep, 0 if (cov and ver.ok) else 1
+    return 0 if (cov and ver.ok) else 1
 
 
-def _cmd_lecce_build(args):
-    doc, digest = _load(args.file)
-    _want(doc, args.file, "labworld")
-    w = doc.body["world"]
-    rep = Report("lecce-build", digest)
+def _cmd_lecce_build(args, rep, doc):
     try:
-        build = lecce.build_lecce_sps(w)
+        build = lecce.build_lecce_sps(doc.body["world"])
     except lecce.WorldInvalid as exc:
         violations = exc.validation.violations
         rep.verdicts.append({"built": False,
                              "violations": [[str(x) for x in v] for v in violations]})
         for v in violations:
             rep.human_lines.append(f"  frequency mismatch: {v}")
-        return rep, 1
+        return 1
     rep.verdicts.append({
         "built": build.sps is not None,
         "num_states": len(build.states),
@@ -279,18 +248,15 @@ def _cmd_lecce_build(args):
     rep.human_lines.append(f"  {len(build.states)} operational states, "
                            f"{len(build.properties)} properties")
     rep.human_lines.extend("  " + line for line in build.report)
-    return rep, 0 if build.sps is not None else 1
+    return 0 if build.sps is not None else 1
 
 
-def _cmd_decompose(args):
-    doc, digest = _load(args.file)
-    _want(doc, args.file, "hilbert")
+def _cmd_decompose(args, rep, doc):
     W = DensityOperator(_matrix(doc, args.file, "W"))
     try:
         samples = hilbert.decompositions_sample(W, args.parts, args.samples, args.seed)
     except hilbert.PartsBelowRank as exc:
         raise _InputError(f"{args.file}: {exc}")
-    rep = Report("decompose", digest)
     for k, terms in enumerate(samples):
         rep.verdicts.append({
             "sample": k,
@@ -299,23 +265,20 @@ def _cmd_decompose(args):
         })
         rep.human_lines.append(f"  sample {k}: weights "
                                + " ".join("%.12g" % q for q, _ in terms))
-    return rep, 0
+    return 0
 
 
-def _cmd_evolve(args):
-    doc, digest = _load(args.file)
-    _want(doc, args.file, "hilbert")
+def _cmd_evolve(args, rep, doc):
     dA, dB = _dims(doc, args.file)
     psi = _matrix(doc, args.file, "psi").reshape(-1)
     U = _matrix(doc, args.file, "U")
     before, after = hilbert.reduced_evolution(psi, U, dA, dB)
-    rep = Report("evolve", digest)
     rep.verdicts.append({"purity_before": before, "purity_after": after,
                          "nonunitary_reduction": abs(after - before) > args.eps})
     rep.human_lines.append(f"  reduced purity {before:.12g} -> {after:.12g}")
     if abs(after - before) > args.eps:
         rep.human_lines.append("  reduced dynamics is not unitary (purity changed)")
-    return rep, 0
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -337,55 +300,40 @@ def _build_parser():
     ap = argparse.ArgumentParser(prog="subentity-lab", description=DESCRIPTION)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check-axioms", parents=[common],
-                       help="run the eight-axiom battery on an sps/lattice document")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_check_axioms)
+    def command(name, handler, help, files, parents=(common,)):
+        """Declare a subcommand: its file arguments, in order, with the kinds each accepts."""
+        p = sub.add_parser(name, parents=list(parents), help=help)
+        for arg in files:
+            p.add_argument(arg)
+        p.set_defaults(handler=handler, files=files)
+        return p
 
-    p = sub.add_parser("sps-check", parents=[common],
-                       help="verify the state property conditions")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_sps_check)
-
-    p = sub.add_parser("schmidt", parents=[common],
-                       help="biorthogonal decomposition of a bipartite vector")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_schmidt)
-
-    p = sub.add_parser("ptrace", parents=[common], help="partial trace of a state")
-    p.add_argument("file")
+    system = ("sps", "lattice")
+    command("check-axioms", _cmd_check_axioms,
+            "run the eight-axiom battery on an sps/lattice document", {"file": system})
+    command("sps-check", _cmd_sps_check,
+            "verify the state property conditions", {"file": ("sps",)})
+    command("schmidt", _cmd_schmidt,
+            "biorthogonal decomposition of a bipartite vector", {"file": ("hilbert",)})
+    p = command("ptrace", _cmd_ptrace, "partial trace of a state", {"file": ("hilbert",)})
     p.add_argument("--keep", choices=("A", "B"), default="A")
-    p.set_defaults(func=_cmd_ptrace)
-
-    p = sub.add_parser("subentity-search", parents=[common],
-                       help="exhaustive subentity witness search between two systems")
-    p.add_argument("part")
-    p.add_argument("whole")
+    p = command("subentity-search", _cmd_subentity_search,
+                "exhaustive subentity witness search between two systems",
+                {"part": system, "whole": system})
     p.add_argument("--budget", type=_at_least(int, 0), default=10_000_000)
-    p.set_defaults(func=_cmd_subentity_search)
-
-    p = sub.add_parser("subentity-quantum", parents=[common, tolerance],
-                       help="build the completed model and verify the canonical witness")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_subentity_quantum)
-
-    p = sub.add_parser("lecce-build", parents=[common],
-                       help="build the state property system of a laboratory world")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_lecce_build)
-
-    p = sub.add_parser("decompose", parents=[common],
-                       help="sample convex pure-state decompositions of a density operator")
-    p.add_argument("file")
+    command("subentity-quantum", _cmd_subentity_quantum,
+            "build the completed model and verify the canonical witness",
+            {"file": ("hilbert",)}, parents=(common, tolerance))
+    command("lecce-build", _cmd_lecce_build,
+            "build the state property system of a laboratory world", {"file": ("labworld",)})
+    p = command("decompose", _cmd_decompose,
+                "sample convex pure-state decompositions of a density operator",
+                {"file": ("hilbert",)})
     p.add_argument("--parts", type=int, required=True)
     p.add_argument("--samples", type=_at_least(int, 1), default=1)
     p.add_argument("--seed", type=_at_least(int, 0), default=0)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("evolve", parents=[common, tolerance],
-                       help="reduced purity before/after a unitary step")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_evolve)
+    command("evolve", _cmd_evolve, "reduced purity before/after a unitary step",
+            {"file": ("hilbert",)}, parents=(common, tolerance))
     return ap, eps
 
 
@@ -403,7 +351,13 @@ def run_cli(argv, stdout=None, stderr=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        rep, code = args.func(args)
+        docs, digests = [], []
+        for arg, kinds in args.files.items():
+            doc, digest = _load(getattr(args, arg), kinds)
+            docs.append(doc)
+            digests.append(digest)
+        rep = Report(args.command, ":".join(digests))
+        code = args.handler(args, rep, *docs)
     except _InputError as exc:
         print(str(exc), file=stderr)
         return 2

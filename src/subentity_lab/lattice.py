@@ -109,17 +109,6 @@ class LatticeMap:
     def __call__(self, x):
         return self.assignment[x]
 
-    def compose(self, other):
-        """self after other (both must be automorphisms of the same lattice)."""
-        assign = tuple(self.assignment[other.assignment[x]] for x in range(self.source.size))
-        return LatticeMap(other.source, self.target, assign, self.kind)
-
-    def inverse(self):
-        inv = [0] * len(self.assignment)
-        for x, y in enumerate(self.assignment):
-            inv[y] = x
-        return LatticeMap(self.target, self.source, tuple(inv), self.kind)
-
 
 def build_lattice(size, order_pairs):
     """Build a FiniteLattice from a size and a list of (lower, upper) pairs.

@@ -90,23 +90,16 @@ def parse_complex(token):
     return complex(re_part, -im if m.group(2) == "-" else im)
 
 
-def _fmt_real(x):
-    s = "%.17g" % x
-    return s
-
-
 def format_complex(z):
     if z.imag == 0.0:
-        return _fmt_real(z.real)
+        return "%.17g" % z.real
     sign = "-" if z.imag < 0 or (z.imag == 0 and np.signbit(z.imag)) else "+"
-    return f"{_fmt_real(z.real)}{sign}{_fmt_real(abs(z.imag))}i"
+    return "%.17g%s%.17gi" % (z.real, sign, abs(z.imag))
 
 
-def _strip(line):
-    cut = line.find("#")
-    if cut >= 0:
-        line = line[:cut]
-    return line.strip()
+def format_row(row):
+    """One matrix row as the model files write it: its entries, space-separated."""
+    return " ".join([format_complex(z) for z in row])
 
 
 def _field_col(line, k):
@@ -123,25 +116,30 @@ def _field_col(line, k):
 
 
 def _split_sections(text):
-    """Yield (header_tokens, [(lineno, content)]) per section, in file order."""
+    """Return [(header_tokens, [(lineno, row)])] per section, in file order.
+
+    A row loses its comment and trailing whitespace but keeps its indent,
+    so a column found in it counts from the start of the file line.
+    """
     sections = []
     current = None
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = _strip(raw)
+        row = raw.partition("#")[0].rstrip()
+        line = row.lstrip()
         if not line:
             continue
         if line.startswith("["):
             if not line.endswith("]"):
-                raise ModelSyntaxError(lineno, len(line), "closing ']' on section header")
+                raise ModelSyntaxError(lineno, len(row), "closing ']' on section header")
             tokens = line[1:-1].split()
             if not tokens:
-                raise ModelSyntaxError(lineno, 2, "section name")
+                raise ModelSyntaxError(lineno, len(row) - len(line) + 2, "section name")
             current = (tokens, [])
             sections.append(current)
         else:
             if current is None:
                 raise ModelSyntaxError(lineno, 1, "a section header before content")
-            current[1].append((lineno, line))
+            current[1].append((lineno, row))
     return sections
 
 
@@ -273,7 +271,7 @@ def _parse_hilbert_body(doc, by_name):
                 try:
                     M[i, j] = parse_complex(tok)
                 except ValueError:
-                    raise ModelSyntaxError(lineno, 1 + line.find(tok), "a complex literal")
+                    raise ModelSyntaxError(lineno, _field_col(line, j), "a complex literal")
         matrices[name] = M
     if not matrices:
         raise ModelSchemaError("matrix", "hilbert document needs at least one matrix")
@@ -434,8 +432,7 @@ def serialize_model(doc):
             M = doc.body["matrices"][name]
             chunks.append((
                 "matrix %s %d %d" % (name, M.shape[0], M.shape[1]),
-                [" ".join(format_complex(M[i, j]) for j in range(M.shape[1]))
-                 for i in range(M.shape[0])],
+                [format_row(row) for row in M],
             ))
     if doc.kind == "labworld":
         w = doc.body["world"]

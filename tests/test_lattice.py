@@ -269,7 +269,10 @@ def test_automorphisms_form_group(corpus_lattice):
     autos = automorphisms(corpus_lattice)
     table = {f.assignment for f in autos}
     assert tuple(range(corpus_lattice.size)) in table
-    for f in autos:
-        assert f.inverse().assignment in table
-        for g in autos:
-            assert f.compose(g).assignment in table
+    for f in table:
+        inverse = [0] * len(f)
+        for x, y in enumerate(f):
+            inverse[y] = x
+        assert tuple(inverse) in table
+        for g in table:
+            assert tuple(f[g[x]] for x in range(len(g))) in table

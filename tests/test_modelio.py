@@ -216,6 +216,7 @@ def test_labworld_rejects_repeated_device_names(devices, reason):
 
 LAB_HEAD = "[meta]\nkind = labworld\n\n[devices]\nprep P Q\nreg A B\n\n[lab j]\n"  # rows from line 9
 ONE_REG_HEAD = "[meta]\nkind = labworld\n\n[devices]\nprep p\nreg r\n\n[lab j]\n"
+MATRIX_HEAD = "[meta]\nkind = hilbert\n\n[matrix W 1 2]\n"  # the row is line 5
 FIELDS = "expected object, preparer, and 2 outcome assignments"
 
 
@@ -248,7 +249,7 @@ MALFORMED_ROWS = [  # (id, head, rows, exception type, message)
     ("tabs", LAB_HEAD, "x\tP \t A=yes\t\tB=maybe", ModelSyntaxError,
      "line 9, col 14: expected REGISTER=yes|no"),
     ("indented-with-comment", LAB_HEAD, "  x P A=yes B=maybe  # note", ModelSyntaxError,
-     "line 9, col 11: expected REGISTER=yes|no"),  # columns count from the stripped row
+     "line 9, col 13: expected REGISTER=yes|no"),  # columns count from the file line
     ("register-twice", LAB_HEAD, "x P A=yes A=no", ModelSchemaError,
      "section [lab j]: object x must answer every register once"),
     # which fault wins: field count, then object, preparer, token, register answered twice
@@ -260,6 +261,11 @@ MALFORMED_ROWS = [  # (id, head, rows, exception type, message)
      "section [lab j]: unknown preparer R"),
     ("token-beats-twice", LAB_HEAD, "x P A=yes A=maybe", ModelSyntaxError,
      "line 9, col 11: expected REGISTER=yes|no"),
+    # matrix entries take the same columns: the bad entry's own, counted from the file line
+    ("matrix-entry-text-seen-earlier", MATRIX_HEAD, "1e5 e5", ModelSyntaxError,
+     "line 5, col 5: expected a complex literal"),
+    ("matrix-entry-indented", MATRIX_HEAD, "   1 0x", ModelSyntaxError,
+     "line 5, col 6: expected a complex literal"),
 ]
 
 
@@ -575,6 +581,40 @@ def test_cli_input_errors():
     assert code == 2 and "cannot read" in err
     assert cli("schmidt", fx("boolean_square.sps"))[0] == 2  # wrong kind
     assert cli("nonsense-command", fx("bell.hilbert"))[0] == 2
+
+
+FILE = object()  # stands for the file argument under test
+FILE_ARGUMENTS = [  # (argv, a fixture of a kind the argument refuses)
+    (["check-axioms", FILE], "bell.hilbert"),
+    (["sps-check", FILE], "o6.lattice"),
+    (["schmidt", FILE], "boolean_square.sps"),
+    (["ptrace", FILE], "o6.lattice"),
+    (["subentity-search", FILE, fx("whole_bell.sps")], "bell.hilbert"),
+    (["subentity-search", fx("part_pure.sps"), FILE], "two_labs.labworld"),
+    (["subentity-quantum", FILE], "whole_bell.sps"),
+    (["lecce-build", FILE], "bell.hilbert"),
+    (["decompose", FILE, "--parts", "3"], "o6.lattice"),
+    (["evolve", FILE], "two_labs.labworld"),
+]
+NO_TOP = "[meta]\nkind = lattice\n\n[lattice]\nsize = 3\n\n[order]\n0 1\n0 2\n"
+BAD_FILE_ERRORS = {"wrong-kind": "document, got", "unreadable": "cannot read",
+                   "no-lattice": "no unique join for element pair (1, 2)"}
+
+
+@pytest.mark.parametrize("argv,other,problem", [
+    pytest.param(argv, other, problem, id=f"{argv[0]}-arg{argv.index(FILE)}-{problem}")
+    for argv, other in FILE_ARGUMENTS
+    for problem in ("wrong-kind", "unreadable")
+    + (("no-lattice",) if argv[0] == "subentity-search" else ())
+])
+def test_cli_input_error_names_the_file(tmp_path, argv, other, problem):
+    path = tmp_path / "probe"
+    if problem != "unreadable":
+        path.write_text(NO_TOP if problem == "no-lattice" else (FIXTURES / other).read_text())
+    code, out, err = cli(*[str(path) if a is FILE else a for a in argv])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith((f"cannot read {path}: ", f"{path}: "))
+    assert BAD_FILE_ERRORS[problem] in err
 
 
 @pytest.mark.parametrize("argv", [
