@@ -4,7 +4,10 @@ A LabWorld is a toy universe of laboratories, each with a roster of
 physical objects tagged with the preparing device that produced them and
 a counterfactual yes/no outcome for every registering device.  Limits of
 frequencies are exact rational fractions over the finite rosters, which
-are tallied once per world and required equal across laboratories.
+are tallied once per world and required equal across laboratories.  The
+tally groups each roster by preparer and outcomes tuple, so it reads
+each distinct row once, however many objects repeat it; equal counts
+share one Fraction, and rows are compared whole before cell by cell.
 States are equivalence classes of preparing devices (equal frequency
 rows), properties are classes of ideal registering devices (equal
 extensions across labs), and the certainly-true / certainly-yes domains
@@ -16,6 +19,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from typing import NamedTuple
 
 from .lattice import NotALattice, build_lattice
 from .sps import SPSError, build_sps
@@ -33,13 +38,13 @@ class WorldInvalid(LecceError):
         super().__init__("frequencies differ across laboratories")
 
 
-@dataclass(frozen=True)
-class LabObject:
+class LabObject(NamedTuple):
     """One physical object of a lab's roster.
 
     outcomes holds (register name, bool) pairs covering every registering
     device exactly once.  Rows parsed from one document are in registerer
     order, and rows with the same outcome text share one outcomes tuple.
+    A named tuple, so it also equals the plain tuple of its fields.
     """
 
     name: str
@@ -53,7 +58,7 @@ class LabWorld:
     preparers: tuple
     registerers: tuple
     ideal: frozenset  # registering devices flagged exact (property candidates)
-    objects: dict  # lab -> tuple of LabObject
+    objects: dict  # lab -> tuple of LabObject, names unique within a lab
 
 
 @dataclass(frozen=True)
@@ -82,29 +87,50 @@ def _tally(w):
     Returns (preps, yes, rows, validation).  The first three are keyed by
     lab: the extension of every preparer, the yes-extension of every
     register (frozensets of object names), and every preparer's frequency
-    row over w.registerers.
+    row over w.registerers.  Objects with the same preparer and the same
+    outcomes tuple (by identity) form one group, counted once per
+    yes-register.  Each distinct (count, size) is one Fraction shared by
+    every lab, so equal rows compare by identity, and only rows that
+    differ are compared cell by cell.
     """
-    preps, yes = {}, {}
+    index = {r: j for j, r in enumerate(w.registerers)}
+    answered = {}  # id(outcomes) -> indices of the registers it answers yes
+    preps, yes, sizes, counts = {}, {}, {}, {}
     for lab in w.labs:
-        by_prep, by_reg = defaultdict(set), defaultdict(set)
-        for o in w.objects[lab]:
-            by_prep[o.preparer].add(o.name)
-            for r, answer in o.outcomes:
-                if answer:
-                    by_reg[r].add(o.name)
+        groups = {}  # (preparer, id(outcomes)) -> object names
+        for name, pi, outcomes in w.objects[lab]:
+            names = groups.get((pi, id(outcomes)))
+            if names is None:
+                names = groups[pi, id(outcomes)] = []
+                if id(outcomes) not in answered:
+                    answered[id(outcomes)] = [index[r] for r, a in outcomes if a and r in index]
+            names.append(name)
+        by_prep, by_reg = defaultdict(list), [[] for _ in w.registerers]
+        count = counts[lab] = defaultdict(lambda: [0] * len(w.registerers))
+        for (pi, key), names in groups.items():
+            by_prep[pi] += names
+            yes_count = count[pi]
+            for j in answered[key]:
+                by_reg[j] += names
+                yes_count[j] += len(names)
         preps[lab] = {pi: frozenset(by_prep[pi]) for pi in w.preparers}
-        yes[lab] = {r: frozenset(by_reg[r]) for r in w.registerers}
+        sizes[lab] = {pi: len(by_prep[pi]) for pi in w.preparers}
+        yes[lab] = {r: frozenset(names) for r, names in zip(w.registerers, by_reg)}
     empty = [(pi, lab) for pi in w.preparers for lab in w.labs if not preps[lab][pi]]
     if empty and w.registerers:
         raise LecceError("preparer {} has empty extension in lab {}".format(*empty[0]))
-    rows = {lab: {pi: tuple(Fraction(len(ext & yes[lab][r]), len(ext)) for r in w.registerers)
-                  for pi, ext in preps[lab].items()} for lab in w.labs}
+    frequency = cache(Fraction)  # one Fraction per distinct (count, size), shared by every lab
+    rows = {lab: {pi: tuple([frequency(c, sizes[lab][pi]) for c in counts[lab][pi]])
+                  for pi in w.preparers} for lab in w.labs}
     ref = w.labs[0]
-    violations = tuple(
-        (pi, r, ref, lab, rows[ref][pi][j], rows[lab][pi][j])
-        for pi in w.preparers for j, r in enumerate(w.registerers) for lab in w.labs[1:]
-        if rows[lab][pi][j] != rows[ref][pi][j])
-    return preps, yes, rows, WorldValidation(ok=not violations, violations=violations)
+    violations = []
+    for pi in w.preparers:
+        first = rows[ref][pi]
+        differ = [lab for lab in w.labs[1:] if rows[lab][pi] != first]
+        violations += [(pi, r, ref, lab, first[j], rows[lab][pi][j])
+                       for j, r in enumerate(w.registerers) for lab in differ
+                       if rows[lab][pi][j] != first[j]]
+    return preps, yes, rows, WorldValidation(ok=not violations, violations=tuple(violations))
 
 
 def validate_world(w):
@@ -165,11 +191,10 @@ def certainly_domains(states, properties, labs):
     Returns (certainly_true, certainly_yes): state id -> property id set
     and property id -> state id set.
     """
-    def included(S, E):
-        return all(S.extensions[lab] <= E.extensions[lab] for lab in labs)
-
-    e_t = {S.id: frozenset(E.id for E in properties if included(S, E)) for S in states}
-    s_y = {E.id: frozenset(S.id for S in states if included(S, E)) for E in properties}
+    included = {(S.id, E.id) for S in states for E in properties
+                if all(S.extensions[lab] <= E.extensions[lab] for lab in labs)}
+    e_t = {S.id: frozenset(E.id for E in properties if (S.id, E.id) in included) for S in states}
+    s_y = {E.id: frozenset(S.id for S in states if (S.id, E.id) in included) for E in properties}
     return e_t, s_y
 
 

@@ -138,7 +138,8 @@ def _split_sections(text):
             sections.append(current)
         else:
             if current is None:
-                raise ModelSyntaxError(lineno, 1, "a section header before content")
+                raise ModelSyntaxError(lineno, len(row) - len(line) + 1,
+                                      "a section header before content")
             current[1].append((lineno, row))
     return sections
 
@@ -147,7 +148,8 @@ def _kv_lines(lines, section):
     out = {}
     for lineno, line in lines:
         if "=" not in line:
-            raise ModelSyntaxError(lineno, 1, f"'key = value' in section [{section}]")
+            raise ModelSyntaxError(lineno, _field_col(line, 0),
+                                   f"'key = value' in section [{section}]")
         key, _, val = line.partition("=")
         out[key.strip()] = val.strip()
     return out
@@ -211,7 +213,7 @@ def _parse_lattice_body(doc, by_name):
     for lineno, line in by_name.pop(("order",), []):
         parts = line.split()
         if len(parts) != 2 or not all(p.isdigit() for p in parts):
-            raise ModelSyntaxError(lineno, 1, "two element indices")
+            raise ModelSyntaxError(lineno, _field_col(line, 0), "two element indices")
         a, b = int(parts[0]), int(parts[1])
         if not (0 <= a < size and 0 <= b < size):
             raise ModelSchemaError("order", f"pair ({a},{b}) out of range for size {size}")
@@ -230,7 +232,7 @@ def _parse_sps_body(doc, by_name):
     for lineno, line in by_name.pop(("actuality",), []):
         parts = line.split()
         if not all(p in ("0", "1") for p in parts):
-            raise ModelSyntaxError(lineno, 1, "a row of 0/1 flags")
+            raise ModelSyntaxError(lineno, _field_col(line, 0), "a row of 0/1 flags")
         rows.append([p == "1" for p in parts])
     if len(rows) != count:
         raise ModelSchemaError("actuality", f"expected {count} rows, got {len(rows)}")
@@ -266,7 +268,7 @@ def _parse_hilbert_body(doc, by_name):
         for i, (lineno, line) in enumerate(lines):
             entries = line.split()
             if len(entries) != cols:
-                raise ModelSyntaxError(lineno, 1, f"{cols} complex entries")
+                raise ModelSyntaxError(lineno, _field_col(line, 0), f"{cols} complex entries")
             for j, tok in enumerate(entries):
                 try:
                     M[i, j] = parse_complex(tok)
@@ -331,7 +333,8 @@ def _parse_labworld_body(doc, by_name):
         parts = line.split()
         target = {"prep": preps, "reg": regs, "ideal": ideal}.get(parts[0])
         if target is None:
-            raise ModelSyntaxError(lineno, 1, "'prep', 'reg' or 'ideal' device list")
+            raise ModelSyntaxError(lineno, _field_col(line, 0),
+                                   "'prep', 'reg' or 'ideal' device list")
         target.extend(parts[1:])
     if not preps or not regs:
         raise ModelSchemaError("devices", "need at least one preparing and one registering device")
@@ -350,9 +353,11 @@ def _parse_labworld_body(doc, by_name):
     for i, r in enumerate(regs):
         tokens[r + "=yes"] = (i, (r, True))
         tokens[r + "=no"] = (i, (r, False))
+    prep_set = set(preps)
     known = {}  # outcome text -> its validated outcomes tuple, shared by equal rows
     labs = []
     objects = {}
+    present = {}  # lab -> the preparers its rows name
     for key in [k for k in by_name if k and k[0] == "lab"]:
         lines = by_name.pop(key)
         if len(key) != 2:
@@ -361,6 +366,7 @@ def _parse_labworld_body(doc, by_name):
         labs.append(lab)
         rows = []
         seen = set()
+        used = present[lab] = set()
         for lineno, line in lines:
             parts = line.split(None, 2)
             # every known text answers a register, so "" always takes the field-count check
@@ -369,14 +375,15 @@ def _parse_labworld_body(doc, by_name):
             if outcomes is None:
                 toks = text.split()
                 if len(toks) != len(regs):
-                    raise ModelSyntaxError(
-                        lineno, 1, f"object, preparer, and {len(regs)} outcome assignments")
+                    raise ModelSyntaxError(lineno, _field_col(line, 0),
+                                           f"object, preparer, and {len(regs)} outcome assignments")
             obj, prep = parts[0], parts[1]
             if obj in seen:
                 raise ModelSchemaError(f"lab {lab}", f"object {obj} listed twice")
             seen.add(obj)
-            if prep not in preps:
+            if prep not in prep_set:
                 raise ModelSchemaError(f"lab {lab}", f"unknown preparer {prep}")
+            used.add(prep)
             if outcomes is None:
                 outcomes = [None] * len(regs)  # registerer order, the order serialize_model writes
                 for j, tok in enumerate(toks):
@@ -388,13 +395,12 @@ def _parse_labworld_body(doc, by_name):
                     raise ModelSchemaError(f"lab {lab}",
                                            f"object {obj} must answer every register once")
                 outcomes = known[text] = tuple(outcomes)
-            rows.append(LabObject(name=obj, preparer=prep, outcomes=outcomes))
+            rows.append(LabObject(obj, prep, outcomes))
         objects[lab] = tuple(rows)
     if not labs:
         raise ModelSchemaError("lab", "labworld document needs at least one [lab] section")
     for lab in labs:
-        present = {o.preparer for o in objects[lab]}
-        missing = [p for p in preps if p not in present]
+        missing = [p for p in preps if p not in present[lab]]
         if missing:
             raise ModelSchemaError(f"lab {lab}", f"preparers {missing} have empty extensions")
     doc.body["world"] = LabWorld(

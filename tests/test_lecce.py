@@ -18,7 +18,7 @@ from subentity_lab.lecce import (
     WorldValidation,
     validate_world,
 )
-from subentity_lab.modelio import parse_model
+from subentity_lab.modelio import ModelDocument, ModelSchemaError, parse_model, serialize_model
 from subentity_lab.sps import state_preorder
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -376,10 +376,74 @@ def build_view(w):
     return fields(build.states), fields(build.properties), pairs_line
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(lab_worlds())
-def test_lecce_against_oracle(w):
+def check_against_oracle(w):
     assert outcome(validation_view, w) == outcome(oracle_validate, w)
     assert outcome(lambda w: fields(partition_states(w)), w) == outcome(oracle_states, w)
     assert outcome(effects_view, w) == outcome(oracle_effects, w)
     assert outcome(build_view, w) == outcome(oracle_build, w)
+
+
+def round_trip(w):
+    """w written and parsed again: rows with equal outcomes now share one tuple."""
+    doc = ModelDocument(kind="labworld", body={"world": w})
+    return parse_model(serialize_model(doc)).body["world"]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(lab_worlds())
+def test_lecce_against_oracle(w):
+    check_against_oracle(w)
+    try:
+        parsed = round_trip(w)
+    except ModelSchemaError as exc:  # the parser refuses a preparer missing from a lab
+        assert exc.reason.endswith("have empty extensions")
+        assert outcome(oracle_validate, w)[0] is LecceError
+    else:
+        check_against_oracle(parsed)
+
+
+@pytest.mark.parametrize("skewed", [False, True])
+def test_equal_outcomes_in_distinct_tuples_and_orders(skewed):
+    # every outcomes tuple is built apart, half of them in reversed register order
+    def outcomes(k, a, b, c):
+        pairs = [("ra", a), ("rb", b), ("rc", c)]
+        return tuple(pairs[::-1] if k % 2 else pairs)
+
+    roster = [("p", (1, 0, 1)), ("p", (1, 0, 1)), ("p", (0, 1, 1)), ("q", (1, 1, 0)),
+              ("q", (1, 1, 0)), ("q", (0, 0, 0)), ("s", (1, 0, 1)), ("s", (0, 1, 1))]
+    objects = {}
+    for lab, order in (("j", roster), ("k", roster[::-1]), ("m", roster[3:] + roster[:3])):
+        objects[lab] = tuple(LabObject(f"{lab}{k}", pi, outcomes(k, *map(bool, answers)))
+                             for k, (pi, answers) in enumerate(order))
+    if skewed:
+        x = objects["m"][0]
+        objects["m"] = (x._replace(outcomes=outcomes(1, True, True, True)),) + objects["m"][1:]
+    w = LabWorld(("j", "k", "m"), ("p", "q", "s"), ("ra", "rb", "rc"),
+                 frozenset({"ra", "rb", "rc"}), objects)
+    everyone = [o for lab in w.labs for o in w.objects[lab]]
+    assert len({id(o.outcomes) for o in everyone}) == len(everyone)
+    check_against_oracle(w)
+    parsed = round_trip(w)
+    check_against_oracle(parsed)
+    for view in (validation_view, effects_view, build_view):
+        assert outcome(view, parsed) == outcome(view, w)
+    assert validate_world(w).ok is not skewed
+
+
+def test_lab_object_contract():
+    out = (("r1", True), ("r2", False))
+    o = LabObject("x", "p", out)
+    assert list(LabObject.__annotations__) == ["name", "preparer", "outcomes"]
+    assert (o.name, o.preparer, o.outcomes) == ("x", "p", out)
+    assert o == LabObject(name="x", preparer="p", outcomes=(("r1", True), ("r2", False)))
+    assert o == LabObject("x", preparer="p", outcomes=out)
+    assert o != LabObject("y", "p", out) and o != LabObject("x", "p", out[::-1])
+    assert o == ("x", "p", out)  # a named tuple: equal to the plain tuple of its fields
+    for field in ("name", "preparer", "outcomes"):
+        with pytest.raises(AttributeError):
+            setattr(o, field, "z")
+    assert hash(o) == hash(LabObject("x", "p", (("r1", True), ("r2", False))))
+    assert len({o, LabObject("x", "p", out), LabObject("y", "p", out)}) == 2
+    w = make_world(["j"], ["p"], ["r1", "r2"], ["r1"], {"j": [("x", "p", dict(out))]})
+    doc = ModelDocument(kind="labworld", body={"world": w})
+    assert parse_model(serialize_model(doc)) == doc

@@ -250,6 +250,8 @@ MALFORMED_ROWS = [  # (id, head, rows, exception type, message)
      "line 9, col 14: expected REGISTER=yes|no"),
     ("indented-with-comment", LAB_HEAD, "  x P A=yes B=maybe  # note", ModelSyntaxError,
      "line 9, col 13: expected REGISTER=yes|no"),  # columns count from the file line
+    ("short-indented", LAB_HEAD, "  x P A=yes", ModelSyntaxError, f"line 9, col 3: {FIELDS}"),
+    ("object-only-tab", LAB_HEAD, "\t x  # note", ModelSyntaxError, f"line 9, col 3: {FIELDS}"),
     ("register-twice", LAB_HEAD, "x P A=yes A=no", ModelSchemaError,
      "section [lab j]: object x must answer every register once"),
     # which fault wins: field count, then object, preparer, token, register answered twice
@@ -266,6 +268,8 @@ MALFORMED_ROWS = [  # (id, head, rows, exception type, message)
      "line 5, col 5: expected a complex literal"),
     ("matrix-entry-indented", MATRIX_HEAD, "   1 0x", ModelSyntaxError,
      "line 5, col 6: expected a complex literal"),
+    ("matrix-count-indented", MATRIX_HEAD, "   1", ModelSyntaxError,
+     "line 5, col 4: expected 2 complex entries"),
 ]
 
 
@@ -275,6 +279,28 @@ def test_labworld_malformed_rows(head, rows, exc_type, message):
     with pytest.raises(ModelIOError) as exc:
         parse_model(head + rows + "\n")
     assert (type(exc.value), str(exc.value)) == (exc_type, message)
+
+
+WHOLE_ROW_ERRORS = [  # (id, text with the bad row at {pad}, line, expected)
+    ("meta-row", "[meta]\n{pad}kind labworld\n", 2, "'key = value' in section [meta]"),
+    ("order-row", "[meta]\nkind = lattice\n\n[lattice]\nsize = 2\n\n[order]\n{pad}0 1 2\n",
+     8, "two element indices"),
+    ("actuality-row", "[meta]\nkind = sps\n\n[lattice]\nsize = 2\n\n[order]\n0 1\n\n"
+     "[states]\ncount = 1\n\n[actuality]\n{pad}1 x\n", 14, "a row of 0/1 flags"),
+    ("devices-row", "[meta]\nkind = labworld\n\n[devices]\nprep p\n{pad}regs r\n",
+     6, "'prep', 'reg' or 'ideal' device list"),
+    ("content-before-header", "{pad}kind = lattice\n", 1, "a section header before content"),
+    ("matrix-count", "[meta]\nkind = hilbert\n\n[matrix W 1 2]\n{pad}1\n", 5, "2 complex entries"),
+]
+
+
+@pytest.mark.parametrize("pad", ["", "  ", "\t "])
+@pytest.mark.parametrize("text,line,expected", [c[1:] for c in WHOLE_ROW_ERRORS],
+                         ids=[c[0] for c in WHOLE_ROW_ERRORS])
+def test_whole_row_errors_point_at_the_first_field(text, line, expected, pad):
+    with pytest.raises(ModelSyntaxError) as exc:
+        parse_model(text.format(pad=pad))
+    assert str(exc.value) == f"line {line}, col {len(pad) + 1}: expected {expected}"
 
 
 def test_labworld_rows_with_equal_outcome_text_share_one_tuple():
@@ -303,7 +329,8 @@ def test_labworld_serializes_hand_built_rows_in_registerer_order():
 def _per_token_labworld_body(doc, by_name):
     """The per-token row loop the memoized parser replaced, kept as its oracle.
 
-    Unchanged except that a bad token is reported at its own column.
+    Unchanged except that a bad token is reported at its own column and a
+    malformed row at the column of its first field.
     """
     dev = by_name.pop(("devices",), None)
     if dev is None:
@@ -313,7 +340,8 @@ def _per_token_labworld_body(doc, by_name):
         parts = line.split()
         target = {"prep": preps, "reg": regs, "ideal": ideal}.get(parts[0])
         if target is None:
-            raise ModelSyntaxError(lineno, 1, "'prep', 'reg' or 'ideal' device list")
+            raise ModelSyntaxError(lineno, re.search(r"\S", line).start() + 1,
+                                   "'prep', 'reg' or 'ideal' device list")
         target.extend(parts[1:])
     if not preps or not regs:
         raise ModelSchemaError("devices", "need at least one preparing and one registering device")
@@ -341,8 +369,8 @@ def _per_token_labworld_body(doc, by_name):
         for lineno, line in lines:
             parts = line.split()
             if len(parts) != 2 + len(regs):
-                raise ModelSyntaxError(
-                    lineno, 1, f"object, preparer, and {len(regs)} outcome assignments")
+                raise ModelSyntaxError(lineno, re.search(r"\S", line).start() + 1,
+                                       f"object, preparer, and {len(regs)} outcome assignments")
             obj, prep = parts[0], parts[1]
             if obj in seen:
                 raise ModelSchemaError(f"lab {lab}", f"object {obj} listed twice")
