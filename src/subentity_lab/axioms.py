@@ -192,23 +192,47 @@ def check_plane_transitivity(S):
 
     For each plane, the atoms fall into the orbits of the plane's pointwise
     stabilizer (`_orbits`).  A pair is witnessed iff it lies in one orbit of
-    some plane.
+    some plane.  If h fixes the plane P and maps s to t, then g h g^-1 fixes
+    g(P) and maps g(s) to g(t), so the witnessed pairs are closed under every
+    automorphism g: the check keeps each map its queries find and, after
+    each plane, closes the witnessed pairs under all of them.  The planes
+    are walked in ascending mask order.  A plane is skipped when every pair
+    of atoms outside it is witnessed already (its stabilizer fixes its own
+    atoms), and the walk stops once every pair is witnessed.  Otherwise
+    every plane is processed, so a failing lattice has the same witnessed
+    pairs, and the same counterexample, as the union over all planes.
     """
     L = S.lattice
-    atom_pairs = [(s1, s2) for s1 in L.atoms for s2 in L.atoms if s1 != s2]
-    planes = {L.down[L.join_table[s1][s2]] for s1, s2 in atom_pairs}  # as masks
-    witnessed = set()
+    atoms = L.atoms
+    everything = sum(1 << s for s in atoms)
+    planes = sorted({L.down[L.join_table[s1][s2]] for s1 in atoms for s2 in atoms if s1 != s2})
+    # reach[s]: mask of the atoms t with (s, t) witnessed; under any plane's
+    # stabilizer each atom is its own orbit, so (s, s) is witnessed
+    reach = {s: 1 << s if planes else 0 for s in atoms}
+    maps = []
     for plane in planes:
-        for orbit in _orbits(L, plane, L.atoms):
-            witnessed.update((s, t) for s in orbit for t in orbit)
-    for s in L.atoms:
-        for t in L.atoms:
-            if (s, t) not in witnessed:
+        outside = everything & ~plane
+        if all(reach[s] & outside == outside for s in _bits(outside)):
+            continue
+        seen = len(maps)
+        orbits = _orbits(L, plane, atoms, maps)
+        todo = [(g[s], g[t]) for g in maps[seen:] for s in atoms for t in _bits(reach[s])]
+        todo += ((s, t) for orbit in orbits if len(orbit) > 1 for s in orbit for t in orbit)
+        while todo:
+            s, t = todo.pop()
+            if not reach[s] >> t & 1:
+                reach[s] |= 1 << t
+                todo += ((g[s], g[t]) for g in maps)
+        if all(row == everything for row in reach.values()):
+            break
+    for s in atoms:
+        for t in atoms:
+            if not reach[s] >> t & 1:
                 return AxiomVerdict(
                     "plane_transitivity", False, counterexample=(s, t),
                     note=f"no automorphism maps atom {s} to {t} while fixing an atom-pair interval")
     return AxiomVerdict("plane_transitivity", True,
-                        note="every ordered atom pair witnessed" if atom_pairs
+                        note="every ordered atom pair witnessed" if planes
                         else "vacuous: no ordered atom pairs")
 
 

@@ -129,7 +129,10 @@ def build_lattice(size, order_pairs):
         for i in range(size):
             if up[i] >> k & 1:
                 up[i] |= up[k]
-    down = [sum(1 << a for a in range(size) if up[a] >> b & 1) for b in range(size)]
+    down = [0] * size  # up transposed
+    for a, row in enumerate(up):
+        for b in _bits(row):
+            down[b] |= 1 << a
     for a in range(size):
         above = up[a] & down[a] & -(2 << a)  # elements b > a with a <= b <= a
         if above:
@@ -268,7 +271,7 @@ def automorphisms(L, fixed=()):
             for a in _isomorphisms(L, L, {x: x for x in fixed})]
 
 
-def _orbits(L, fixed, points):
+def _orbits(L, fixed, points, found=None):
     """Orbits of `points` under the automorphisms fixing each element of the mask `fixed`.
 
     `points` must be closed under that group.  The orbits come back as
@@ -279,7 +282,8 @@ def _orbits(L, fixed, points):
     twins moves nothing else) is one orbit.  Only the twin classes left tied
     in a group are merged by existence queries to `_isomorphisms`, in a
     union-find: one query per pair of classes not yet merged, and every map
-    found merges each class with its image.
+    found merges each class with its image.  When a list `found` is given,
+    each map a query finds is appended to it, so a caller can reuse them.
     """
     up, down = L.up, L.down
     groups = {}
@@ -305,6 +309,8 @@ def _orbits(L, fixed, points):
                 continue
             f = next(_isomorphisms(L, L, {**pins, classes[i][0]: classes[j][0]}), None)
             if f is not None:
+                if found is not None:
+                    found.append(f)
                 for k, members in enumerate(classes):
                     parent[_find(parent, k)] = _find(parent, index[f[members[0]]])
         merged = {}

@@ -30,7 +30,7 @@ from subentity_lab.axioms import (
     orthocomplementations,
     run_battery,
 )
-from subentity_lab.lattice import automorphisms, build_lattice, interval, join, meet
+from subentity_lab.lattice import _orbits, automorphisms, build_lattice, interval, join, meet
 from subentity_lab.sps import atomic_sps, build_sps
 
 from conftest import (
@@ -283,6 +283,11 @@ def filtered_plane_transitivity(L):
         fixed = {a for a in range(L.size) if f(a) == a}
         if any(plane <= fixed for plane in planes):
             witnessed.update((s, f(s)) for s in L.atoms)
+    return plane_verdict(L, witnessed, atom_pairs)
+
+
+def plane_verdict(L, witnessed, atom_pairs):
+    """(passed, counterexample, note) for a set of witnessed ordered atom pairs."""
     for s in L.atoms:
         for t in L.atoms:
             if (s, t) not in witnessed:
@@ -306,13 +311,17 @@ def stabilizer_plane_transitivity(L):
     planes = {interval(L, L.bottom, L.join_table[s1][s2]) for s1, s2 in atom_pairs}
     witnessed = {(s, f(s)) for plane in planes for f in automorphisms(L, fixed=plane)
                  for s in L.atoms}
-    for s in L.atoms:
-        for t in L.atoms:
-            if (s, t) not in witnessed:
-                return False, (s, t), (f"no automorphism maps atom {s} to {t} "
-                                       "while fixing an atom-pair interval")
-    return True, None, ("every ordered atom pair witnessed" if atom_pairs
-                        else "vacuous: no ordered atom pairs")
+    return plane_verdict(L, witnessed, atom_pairs)
+
+
+def per_plane_plane_transitivity(L):
+    """(passed, counterexample, note) from one `_orbits` union-find per plane, keeping no maps."""
+    atom_pairs = [(s1, s2) for s1 in L.atoms for s2 in L.atoms if s1 != s2]
+    witnessed = set()
+    for plane in {L.down[L.join_table[s1][s2]] for s1, s2 in atom_pairs}:
+        for orbit in _orbits(L, plane, L.atoms):
+            witnessed.update((s, t) for s in orbit for t in orbit)
+    return plane_verdict(L, witnessed, atom_pairs)
 
 
 def relabeled(L, seed):
@@ -330,9 +339,42 @@ def test_plane_transitivity_against_stabilizer_listing(L):
     assert (v.passed, v.counterexample, v.note) == stabilizer_plane_transitivity(L)
 
 
+# the products and the horizontal sum fail plane transitivity after asking
+# queries, so every plane not skipped is processed and nothing stops early
+PLANE_QUERIED_FAILURES = {
+    "MO2xB1": product(mo(2), boolean(1)), "MO2xMO2": product(mo(2), mo(2)),
+    "O6xO6": product(o6(), o6()), "B3+B3": horizontal_sum(boolean(3), boolean(3)),
+}
+PLANE_DIFFERENTIAL = {
+    **CORPUS,
+    **{f"B{k}-relabeled": relabeled(boolean(k), k) for k in (4, 5, 6)},
+    **{f"MO{n}-relabeled": relabeled(mo(n), n) for n in (3, 4, 5, 6)},
+    **PLANE_QUERIED_FAILURES,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANE_DIFFERENTIAL))
+def test_plane_transitivity_against_per_plane_reference(name, monkeypatch):
+    queries, isomorphisms = [], lattice._isomorphisms
+    monkeypatch.setattr(lattice, "_isomorphisms",
+                        lambda *args: queries.append(args) or isomorphisms(*args))
+    L = PLANE_DIFFERENTIAL[name]
+    v = check_plane_transitivity(atomic_sps(L))
+    if name in PLANE_QUERIED_FAILURES:
+        assert not v.passed and queries
+    assert (v.passed, v.counterexample, v.note) == per_plane_plane_transitivity(L)
+
+
+def battery_vector(L):
+    return "".join({True: "T", False: "F", None: "?"}[v.passed] for v in run_battery(atomic_sps(L)))
+
+
 def test_battery_b6_vector():
-    verdicts = run_battery(atomic_sps(boolean(6)))
-    assert "".join({True: "T", False: "F", None: "?"}[v.passed] for v in verdicts) == "TTTTTTFF"
+    assert battery_vector(boolean(6)) == "TTTTTTFF"
+
+
+def test_battery_b7_vector():
+    assert battery_vector(boolean(7)) == "TTTTTTFF"
 
 
 def loop_max_orthogonal_family(L, comp):
