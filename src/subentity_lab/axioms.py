@@ -85,7 +85,8 @@ def _orthocomplement_search(L, by_orbit):
 
     The search pairs the least unpaired element x with each valid image y:
     unpaired, a complement of x, and order-reversing against the pairs
-    placed so far.  Since ' is an involution, b <= x iff x' <= b' and
+    placed so far.  y is a complement of x when their down-sets meet in 0
+    and their up-sets in I.  Since ' is an involution, b <= x iff x' <= b' and
     x <= b iff b' <= x', so the placed elements below (above) y must be
     exactly the images of those above (below) x: two mask comparisons on
     the bit rows, as in the isomorphism search.
@@ -100,8 +101,9 @@ def _orthocomplement_search(L, by_orbit):
     conjugation-invariant property takes the same set of values over the
     leaves as over all witnesses.
     """
-    n, up, down, bottom, top = L.size, L.up, L.down, L.bottom, L.top
+    n, up, down = L.size, L.up, L.down
     everything = (1 << n) - 1
+    zero, one = 1 << L.bottom, 1 << L.top  # the down-set of 0 and the up-set of I
     comp = [-1] * n
     leaves = []
 
@@ -120,10 +122,9 @@ def _orthocomplement_search(L, by_orbit):
                 want_up |= 1 << comp[low.bit_length() - 1]
             else:
                 want_down |= 1 << comp[low.bit_length() - 1]
-        meets, joins = L.meet_table[x], L.join_table[x]
-        images = []
+        images, up_x, down_x = [], up[x], down[x]
         for y in range(x, n):  # every y < x is placed
-            if (meets[y] == bottom and joins[y] == top and free >> y & 1
+            if (down_x & down[y] == zero and up_x & up[y] == one and free >> y & 1
                     and up[y] & placed == want_up and down[y] & placed == want_down):
                 images.append(y)
         if by_orbit and len(images) > 1:
@@ -156,10 +157,11 @@ def _orthocomplementation_verdict(leaves):
 def check_covering_law(S):
     """No element may sit strictly between a and a v b for an atom b."""
     L = S.lattice
+    up, down, by_up = L.up, L.down, L.by_up
     for a in range(L.size):
         for b in L.atoms:
-            ab = L.join_table[a][b]
-            between = L.up[a] & L.down[ab] & ~(1 << a | 1 << ab)
+            ab = by_up[up[a] & up[b]]
+            between = up[a] & down[ab] & ~(1 << a | 1 << ab)
             if between:
                 x = (between & -between).bit_length() - 1
                 return AxiomVerdict("covering_law", False, counterexample=(a, b, x),
@@ -168,9 +170,12 @@ def check_covering_law(S):
 
 
 def _weak_modularity(L, comp):
+    # (b ^ a') v a = b iff the up-sets of b ^ a' and a meet in b's up-set
+    up, down, by_down = L.up, L.down, L.by_down
     for a in range(L.size):
-        for b in _bits(L.up[a]):
-            if L.join_table[L.meet_table[b][comp[a]]][a] != b:
+        above, down_ca = up[a], down[comp[a]]
+        for b in _bits(above):
+            if up[by_down[down[b] & down_ca]] & above != up[b]:
                 return (a, b)
     return None
 
@@ -182,7 +187,8 @@ def check_weak_modularity(S, comp=None):
     if ce is None:
         return AxiomVerdict("weak_modularity", True, witness=comp)
     a, b = ce
-    got = S.lattice.join_table[S.lattice.meet_table[b][comp[a]]][a]
+    L = S.lattice
+    got = L.by_up[L.up[L.by_down[L.down[b] & L.down[comp[a]]]] & L.up[a]]
     return AxiomVerdict("weak_modularity", False, counterexample=ce,
                         note=f"a={a} <= b={b} but (b ^ a') v a = {got}")
 
@@ -205,7 +211,8 @@ def check_plane_transitivity(S):
     L = S.lattice
     atoms = L.atoms
     everything = sum(1 << s for s in atoms)
-    planes = sorted({L.down[L.join_table[s1][s2]] for s1 in atoms for s2 in atoms if s1 != s2})
+    up, down, by_up = L.up, L.down, L.by_up
+    planes = sorted({down[by_up[up[s1] & up[s2]]] for s1 in atoms for s2 in atoms if s1 != s2})
     # reach[s]: mask of the atoms t with (s, t) witnessed; under any plane's
     # stabilizer each atom is its own orbit, so (s, s) is witnessed
     reach = {s: 1 << s if planes else 0 for s in atoms}
@@ -237,13 +244,14 @@ def check_plane_transitivity(S):
 
 
 def _irreducibility(L, comp):
+    # (b ^ a) v (b ^ a') = b iff the up-sets of the two meets meet in b's up-set
+    up, down, by_down = L.up, L.down, L.by_down
     for b in range(L.size):
         if b == L.bottom or b == L.top:
             continue
-        if all(
-            L.join_table[L.meet_table[b][a]][L.meet_table[b][comp[a]]] == b
-            for a in range(L.size)
-        ):
+        below, above = down[b], up[b]
+        if all(up[by_down[below & down[a]]] & up[by_down[below & down[comp[a]]]] == above
+               for a in range(L.size)):
             return b
     return None
 
@@ -263,15 +271,24 @@ def _max_orthogonal_family(L, comp):
 
     b and c are orthogonal iff some a has b <= a and c <= a'.  On bit rows,
     the c with b <= a and c <= a' for some a are down[a'] over a in up[b].
-    Candidates are masks searched in ascending element order.
+    Candidates are masks searched in ascending element order, and the c
+    orthogonal to b both ways are right[b] ANDed with its transpose.
     """
-    n = L.size
-    right = [0] * n
+    n, up, down = L.size, L.up, L.down
+    right, left = [0] * n, [0] * n  # left: right transposed
     for b in range(n):
-        for a in _bits(L.up[b]):
-            right[b] |= L.down[comp[a]]
-    # mutual[b]: the c orthogonal to b both ways
-    mutual = [sum(1 << c for c in _bits(right[b]) if right[c] >> b & 1) for b in range(n)]
+        row, rest = 0, up[b]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            row |= down[comp[low.bit_length() - 1]]
+        right[b] = row
+        bit = 1 << b
+        while row:
+            low = row & -row
+            row ^= low
+            left[low.bit_length() - 1] |= bit
+    mutual = [r & t for r, t in zip(right, left)]
     best = []
 
     def extend(current, candidates):

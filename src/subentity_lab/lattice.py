@@ -1,13 +1,14 @@
 """Finite posets and complete lattices with exact integer arithmetic.
 
 Elements are dense indices 0..n-1.  The order is closed at build time on
-integer bit rows, giving each element's down-set and up-set.  A meet is the
-element whose down-set is the intersection of the two down-sets, a join
-likewise through up-sets, and bottom, top and atoms come from the same
-sets.  The bit rows (`up`, `down`) are the one stored form of the order;
-the boolean `leq` table is a view read off them on first use.  The eager
-meet/join tables make every meet and join an O(1) lookup, and fix the
-order, so lattices compare equal on them alone.
+integer bit rows, giving each element's down-set and up-set.  The bit rows
+(`up`, `down`) are the one stored form of the order, with two inverse
+indices from a down-set (up-set) mask to its element.  A meet is the
+element whose down-set is the intersection of the down-sets, a join
+likewise through up-sets: one AND and one dict lookup, with no n² table.
+Bottom, top and atoms come from the same sets, the boolean `leq` table is
+a view read off the rows on first use, and lattices compare equal and hash
+alike on the `up` rows.
 
 The isomorphism search assigns elements one at a time and tests each
 candidate image with two mask comparisons against the images already
@@ -16,9 +17,10 @@ automorphism with given values (fixing a plane and moving one atom) instead
 of listing a whole group.  `_orbits` splits a set of points into the orbits
 of a pointwise stabilizer and asks such questions only where cheaper
 arguments leave points tied: twins (equal strict up- and down-sets) are
-swapped by an automorphism that moves nothing else, and points whose
-up- and down-sets differ in size or in what they contain of the fixed set
-lie in different orbits.
+swapped by an automorphism that moves nothing else, points whose up- and
+down-sets differ in size or in what they contain of the fixed set lie in
+different orbits, and two join-irreducibles are often exchanged by a map
+read off Birkhoff's representation in O(n) (`_swap`).
 """
 
 from __future__ import annotations
@@ -51,20 +53,40 @@ class EmptyInterval(LatticeError):
 
 @dataclass(frozen=True)
 class FiniteLattice:
-    """Finite complete lattice over element indices 0..size-1."""
+    """Finite complete lattice over element indices 0..size-1.
+
+    Equality and hashing read the `up` rows (size, bottom, top and atoms
+    are fixed by them); `down` and the two indices are derived.
+    """
 
     size: int
-    meet_table: tuple
-    join_table: tuple
     bottom: int
     top: int
     atoms: tuple
     # bit rows: bit b of up[a], and bit a of down[b], is set iff a <= b
-    up: tuple = field(repr=False, compare=False)
+    up: tuple = field(repr=False)
     down: tuple = field(repr=False, compare=False)
+    # inverse indices: the element whose up-set (down-set) is a given mask
+    by_up: dict = field(repr=False, compare=False)
+    by_down: dict = field(repr=False, compare=False)
 
     def lt(self, a, b):
         return a != b and bool(self.up[a] >> b & 1)
+
+    @cached_property
+    def _irreducibles(self):
+        """(J, key, by_key): the join-irreducibles as a mask, each element's
+        J-set `down[x] & J`, and the element of each J-set.
+
+        x is join-irreducible iff its strict down-set is some element's
+        down-set, i.e. x has exactly one lower cover.  Every element is the
+        join of the join-irreducibles below it (Birkhoff), so x <= y iff
+        key[x] is inside key[y], and distinct elements have distinct J-sets.
+        """
+        down, by_down = self.down, self.by_down
+        irr = sum(1 << x for x in range(self.size) if down[x] ^ 1 << x in by_down)
+        key = tuple(row & irr for row in down)
+        return irr, key, {k: x for x, k in enumerate(key)}
 
     @cached_property
     def leq(self):
@@ -139,33 +161,34 @@ def build_lattice(size, order_pairs):
             b = (above & -above).bit_length() - 1
             raise NotAPartialOrder(f"cycle through elements {a} and {b}")
 
-    # a bound is the element whose down-set (up-set) is the intersection
+    # a bound is the element whose down-set (up-set) is the intersection.  A
+    # comparable pair's bounds are the pair itself, and (b, a) fails exactly
+    # when (a, b) does, so checking the incomparable a < b row by row, meet
+    # before join, fails first on the pair a scan of all n² would name
     by_down = {mask: x for x, mask in enumerate(down)}
     by_up = {mask: x for x, mask in enumerate(up)}
-    meet_table = [[0] * size for _ in range(size)]
-    join_table = [[0] * size for _ in range(size)]
-    for a in range(size):
-        for b in range(size):
-            glb = by_down.get(down[a] & down[b])
-            if glb is None:
-                raise NotALattice((a, b), "meet")
-            lub = by_up.get(up[a] & up[b])
-            if lub is None:
-                raise NotALattice((a, b), "join")
-            meet_table[a][b] = glb
-            join_table[a][b] = lub
-
     everything = (1 << size) - 1
+    for a in range(size):
+        rest = everything & ~(up[a] | down[a]) & -(2 << a)  # incomparable b > a
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            b = low.bit_length() - 1
+            if down[a] & down[b] not in by_down:
+                raise NotALattice((a, b), "meet")
+            if up[a] & up[b] not in by_up:
+                raise NotALattice((a, b), "join")
+
     bottom = by_up[everything]
     return FiniteLattice(
         size=size,
-        meet_table=tuple(tuple(row) for row in meet_table),
-        join_table=tuple(tuple(row) for row in join_table),
         bottom=bottom,
         top=by_down[everything],
         atoms=tuple(x for x in range(size) if down[x] & ~(1 << x) == 1 << bottom),
         up=tuple(up),
         down=tuple(down),
+        by_up=by_up,
+        by_down=by_down,
     )
 
 
@@ -179,18 +202,20 @@ def _bits(mask):
 
 def meet(L, subset):
     """Greatest lower bound of a subset; the empty meet is the top element."""
-    acc = L.top
+    down = L.down
+    acc = down[L.top]
     for x in subset:
-        acc = L.meet_table[acc][x]
-    return acc
+        acc &= down[x]
+    return L.by_down[acc]
 
 
 def join(L, subset):
     """Least upper bound of a subset; the empty join is the bottom element."""
-    acc = L.bottom
+    up = L.up
+    acc = up[L.bottom]
     for x in subset:
-        acc = L.join_table[acc][x]
-    return acc
+        acc &= up[x]
+    return L.by_up[acc]
 
 
 def interval(L, lo, hi):
@@ -279,11 +304,13 @@ def _orbits(L, fixed, points, found=None):
     grouped by a key every such automorphism preserves: the sizes of their
     up- and down-sets and the parts of those sets inside `fixed`.  A group
     whose points are all twins (equal strict up- and down-sets; swapping two
-    twins moves nothing else) is one orbit.  Only the twin classes left tied
-    in a group are merged by existence queries to `_isomorphisms`, in a
-    union-find: one query per pair of classes not yet merged, and every map
-    found merges each class with its image.  When a list `found` is given,
-    each map a query finds is appended to it, so a caller can reuse them.
+    twins moves nothing else) is one orbit.  The twin classes left tied in a
+    group are merged in a union-find, one step per pair of classes not yet
+    merged: the step tries the `_swap` of the two classes' least points
+    first, and asks `_isomorphisms` for a map only when the swap is not one.
+    Every map found merges each class with its image.  When a list `found`
+    is given, each map found, by a swap or a query, is appended to it, so a
+    caller can reuse them.
     """
     up, down = L.up, L.down
     groups = {}
@@ -301,13 +328,14 @@ def _orbits(L, fixed, points, found=None):
         if len(classes) == 1:
             orbits += classes
             continue
-        pins = {x: x for x in _bits(fixed)}
         index = {p: i for i, members in enumerate(classes) for p in members}
         parent = list(range(len(classes)))
         for i, j in combinations(range(len(classes)), 2):
             if _find(parent, i) == _find(parent, j):
                 continue
-            f = next(_isomorphisms(L, L, {**pins, classes[i][0]: classes[j][0]}), None)
+            s, t = classes[i][0], classes[j][0]
+            f = _swap(L, fixed, s, t) or next(
+                _isomorphisms(L, L, {x: x for x in _bits(fixed)} | {s: t}), None)
             if f is not None:
                 if found is not None:
                     found.append(f)
@@ -318,6 +346,37 @@ def _orbits(L, fixed, points, found=None):
             merged.setdefault(_find(parent, i), []).extend(members)
         orbits += (sorted(members) for members in merged.values())
     return sorted(orbits)
+
+
+def _swap(L, fixed, s, t):
+    """The automorphism exchanging s and t in every element's J-set, or None.
+
+    J is the set of join-irreducibles (`FiniteLattice._irreducibles`).  For
+    s and t in J with the same members of J above and below them, not
+    counting each other, each x goes to the element whose J-set is x's with
+    s and t exchanged.  Since x <= y iff J(x) is inside J(y), that is an
+    automorphism exactly when every such set belongs to some element, and
+    then it maps s to t.  Incomparability and the equal parts of J above
+    and below are necessary for that, so testing them first on the masks
+    only ends hopeless tries early.
+    Only the elements holding exactly one of s and t move, so it fixes the
+    mask `fixed` pointwise when no fixed element holds exactly one.
+    """
+    irr, key, by_key = L._irreducibles
+    pair = 1 << s | 1 << t
+    up, down = L.up, L.down
+    moved = up[s] ^ up[t]
+    others = irr & ~pair
+    if (pair & ~irr or moved & pair != pair  # both in J, and incomparable
+            or moved & (others | fixed) or (down[s] ^ down[t]) & others):
+        return None
+    f = list(range(L.size))
+    for x in _bits(moved):
+        y = by_key.get(key[x] ^ pair)
+        if y is None:
+            return None
+        f[x] = y
+    return tuple(f)
 
 
 def _find(parent, x):

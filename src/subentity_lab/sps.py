@@ -67,22 +67,26 @@ class StatePropertySystem:
 
 
 def build_sps(lattice, num_states, actuality):
-    """Construct and verify a state property system from a boolean table.
+    """Construct and verify a state property system from an actuality table.
 
     actuality[p][a] says whether property a is actual in state p; each row
-    is read as a bit mask.  The top/bottom condition and meet closure are
+    is read as a bit mask, and a row given as an int is that mask (bit a
+    set iff a is actual).  The top/bottom condition and meet closure are
     verified and violations raised.  Meet closure (a meet is actual iff
     every member is) holds for a finite actual-property set exactly when
     the set is the principal filter of its own meet m, so a violation
     names either the whole set (m is not actual) or the pair (m, x) for
     the least x above m that is not actual.  The system keeps m per state.
     """
-    if len(actuality) != num_states or any(len(row) != lattice.size for row in actuality):
+    size = lattice.size
+    if len(actuality) != num_states or any(
+            row >> size != 0 if isinstance(row, int) else len(row) != size
+            for row in actuality):
         raise SPSError("actuality table dimensions do not match")
     up, top, bottom = lattice.up, lattice.top, lattice.bottom
     strongest = []
     for p, row in enumerate(actuality):
-        mask = sum(1 << a for a, actual in enumerate(row) if actual)
+        mask = row if isinstance(row, int) else sum(1 << a for a, actual in enumerate(row) if actual)
         if not mask >> top & 1:
             raise Def1TopBottomViolation(p, "top property is not actual")
         if mask >> bottom & 1:
@@ -116,9 +120,7 @@ def atomic_sps(lattice):
     """
     if not lattice.atoms:
         raise SPSError("lattice has no atoms")
-    actuality = [[bool(lattice.up[atom] >> a & 1) for a in range(lattice.size)]
-                 for atom in lattice.atoms]
-    return build_sps(lattice, len(lattice.atoms), actuality)
+    return build_sps(lattice, len(lattice.atoms), [lattice.up[atom] for atom in lattice.atoms])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ the corpus.
 """
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +30,9 @@ from subentity_lab.axioms import (
     orthocomplementations,
     run_battery,
 )
-from subentity_lab.lattice import _orbits, automorphisms, build_lattice, interval, join, meet
+from subentity_lab.lattice import (
+    _isomorphisms, _orbits, automorphisms, build_lattice, interval, join, meet,
+)
 from subentity_lab.sps import atomic_sps, build_sps
 
 from conftest import (
@@ -47,8 +49,8 @@ def oracle_orthocomplementations(L):
     for p in permutations(range(L.size)):
         if all(p[p[a]] == a for a in range(L.size)) and all(
             (not L.leq[a][b] or L.leq[p[b]][p[a]])
-            and L.meet_table[a][p[a]] == L.bottom
-            and L.join_table[a][p[a]] == L.top
+            and meet(L, (a, p[a])) == L.bottom
+            and join(L, (a, p[a])) == L.top
             for a in range(L.size)
             for b in range(L.size)
         ):
@@ -71,17 +73,17 @@ def oracle_atomicity(S):
 
 def oracle_covering_law(L):
     return all(
-        x == a or x == L.join_table[a][b]
+        x == a or x == join(L, (a, b))
         for a in range(L.size)
         for b in L.atoms
         for x in range(L.size)
-        if L.leq[a][x] and a != x and L.leq[x][L.join_table[a][b]] and x != L.join_table[a][b]
+        if L.leq[a][x] and a != x and L.leq[x][join(L, (a, b))] and x != join(L, (a, b))
     )
 
 
 def oracle_weak_modularity(L, comp):
     return all(
-        L.join_table[L.meet_table[b][comp[a]]][a] == b
+        join(L, (meet(L, (b, comp[a])), a)) == b
         for a in range(L.size)
         for b in range(L.size)
         if L.leq[a][b]
@@ -105,7 +107,7 @@ def oracle_plane_transitivity_counterexample(L):
             for s1 in L.atoms:
                 for s2 in L.atoms:
                     if s1 != s2 and all(
-                        p[a] == a for a in interval(L, L.bottom, L.join_table[s1][s2])
+                        p[a] == a for a in interval(L, L.bottom, join(L, (s1, s2)))
                     ):
                         return True
         return False
@@ -117,7 +119,7 @@ def oracle_irreducibility(L, comp):
         b == L.bottom or b == L.top
         for b in range(L.size)
         if all(
-            L.join_table[L.meet_table[b][a]][L.meet_table[b][comp[a]]] == b
+            join(L, (meet(L, (b, a)), meet(L, (b, comp[a])))) == b
             for a in range(L.size)
         )
     )
@@ -202,7 +204,7 @@ def test_covering_law_counterexample_lattice():
     assert not v.passed
     a, b, x = v.counterexample
     L = covering_fail()
-    assert L.lt(a, x) and L.lt(x, L.join_table[a][b]) and b in L.atoms
+    assert L.lt(a, x) and L.lt(x, join(L, (a, b))) and b in L.atoms
 
 
 def test_weak_modularity_hexagon_fails():
@@ -213,7 +215,7 @@ def test_weak_modularity_hexagon_fails():
     L = S.lattice
     comp = orthocomplementations(L)[0]
     assert L.leq[a][b]
-    assert L.join_table[L.meet_table[b][comp[a]]][a] == a != b
+    assert join(L, (meet(L, (b, comp[a])), a)) == a != b
 
 
 def test_irreducibility_examples():
@@ -277,7 +279,7 @@ def filtered_plane_transitivity(L):
     """(passed, counterexample, note) from the whole automorphism group, kept
     where an automorphism fixes some plane pointwise."""
     atom_pairs = [(s1, s2) for s1 in L.atoms for s2 in L.atoms if s1 != s2]
-    planes = {interval(L, L.bottom, L.join_table[s1][s2]) for s1, s2 in atom_pairs}
+    planes = {interval(L, L.bottom, join(L, (s1, s2))) for s1, s2 in atom_pairs}
     witnessed = set()
     for f in automorphisms(L):
         fixed = {a for a in range(L.size) if f(a) == a}
@@ -308,18 +310,59 @@ def test_plane_transitivity_against_filtered_group(presentation):
 def stabilizer_plane_transitivity(L):
     """(passed, counterexample, note) from listing each plane's whole pointwise stabilizer."""
     atom_pairs = [(s1, s2) for s1 in L.atoms for s2 in L.atoms if s1 != s2]
-    planes = {interval(L, L.bottom, L.join_table[s1][s2]) for s1, s2 in atom_pairs}
+    planes = {interval(L, L.bottom, join(L, (s1, s2))) for s1, s2 in atom_pairs}
     witnessed = {(s, f(s)) for plane in planes for f in automorphisms(L, fixed=plane)
                  for s in L.atoms}
     return plane_verdict(L, witnessed, atom_pairs)
 
 
+def query_only_orbits(L, fixed, points):
+    """`_orbits` with no swaps: the twin classes of each tied group merged by
+    existence queries alone, one per pair of classes not yet merged."""
+    up, down = L.up, L.down
+    groups = {}
+    for p in points:
+        key = (up[p].bit_count(), down[p].bit_count(), up[p] & fixed, down[p] & fixed)
+        groups.setdefault(key, []).append(p)
+    orbits = []
+    for group in groups.values():
+        twins = {}
+        for p in sorted(group):
+            twins.setdefault((up[p] ^ 1 << p, down[p] ^ 1 << p), []).append(p)
+        classes = list(twins.values())
+        pins = {x: x for x in range(L.size) if fixed >> x & 1}
+        index = {p: i for i, members in enumerate(classes) for p in members}
+        parent = list(range(len(classes)))
+
+        def find(i):
+            while parent[i] != i:
+                i = parent[i]
+            return i
+
+        for i, j in combinations(range(len(classes)), 2):
+            if find(i) != find(j):
+                f = next(_isomorphisms(L, L, {**pins, classes[i][0]: classes[j][0]}), None)
+                if f is not None:
+                    for k, members in enumerate(classes):
+                        parent[find(k)] = find(index[f[members[0]]])
+        merged = {}
+        for i, members in enumerate(classes):
+            merged.setdefault(find(i), []).extend(members)
+        orbits += (sorted(members) for members in merged.values())
+    return sorted(orbits)
+
+
+def planes_of(L):
+    """The down-set masks of the planes [0, s1 v s2], ascending."""
+    return sorted({L.down[join(L, (s1, s2))] for s1 in L.atoms for s2 in L.atoms if s1 != s2})
+
+
 def per_plane_plane_transitivity(L):
-    """(passed, counterexample, note) from one `_orbits` union-find per plane, keeping no maps."""
+    """(passed, counterexample, note) from one query-only union-find per plane, keeping no maps."""
     atom_pairs = [(s1, s2) for s1 in L.atoms for s2 in L.atoms if s1 != s2]
     witnessed = set()
-    for plane in {L.down[L.join_table[s1][s2]] for s1, s2 in atom_pairs}:
-        for orbit in _orbits(L, plane, L.atoms):
+    for plane in planes_of(L):
+        for orbit in query_only_orbits(L, plane, L.atoms):
             witnessed.update((s, t) for s in orbit for t in orbit)
     return plane_verdict(L, witnessed, atom_pairs)
 
@@ -339,17 +382,20 @@ def test_plane_transitivity_against_stabilizer_listing(L):
     assert (v.passed, v.counterexample, v.note) == stabilizer_plane_transitivity(L)
 
 
-# the products and the horizontal sum fail plane transitivity after asking
-# queries, so every plane not skipped is processed and nothing stops early
-PLANE_QUERIED_FAILURES = {
+# the products and the horizontal sum fail plane transitivity, so every
+# plane not skipped is processed and nothing stops early
+PLANE_FAILURES = {
     "MO2xB1": product(mo(2), boolean(1)), "MO2xMO2": product(mo(2), mo(2)),
     "O6xO6": product(o6(), o6()), "B3+B3": horizontal_sum(boolean(3), boolean(3)),
 }
+# the failures whose tied atoms no swap exchanges, with the queries they ask;
+# MO2xB1 is decided by swaps alone
+PLANE_FAILURE_QUERIES = {"MO2xMO2": 144, "O6xO6": 6, "B3+B3": 18}
 PLANE_DIFFERENTIAL = {
     **CORPUS,
     **{f"B{k}-relabeled": relabeled(boolean(k), k) for k in (4, 5, 6)},
     **{f"MO{n}-relabeled": relabeled(mo(n), n) for n in (3, 4, 5, 6)},
-    **PLANE_QUERIED_FAILURES,
+    **PLANE_FAILURES,
 }
 
 
@@ -360,9 +406,60 @@ def test_plane_transitivity_against_per_plane_reference(name, monkeypatch):
                         lambda *args: queries.append(args) or isomorphisms(*args))
     L = PLANE_DIFFERENTIAL[name]
     v = check_plane_transitivity(atomic_sps(L))
-    if name in PLANE_QUERIED_FAILURES:
-        assert not v.passed and queries
+    if name in PLANE_FAILURE_QUERIES:
+        assert not v.passed and len(queries) == PLANE_FAILURE_QUERIES[name]
     assert (v.passed, v.counterexample, v.note) == per_plane_plane_transitivity(L)
+
+
+SWAP_CORPUS = {
+    **CORPUS,
+    **{f"B{k}-relabeled": relabeled(boolean(k), k) for k in (3, 4, 5, 6)},
+    **{f"MO{n}-relabeled": relabeled(mo(n), n) for n in (2, 3, 4, 5, 6)},
+    **PLANE_FAILURES,
+}
+
+
+def is_automorphism(L, f):
+    """f maps each up-set row onto the up-set row of the image."""
+    return sorted(f) == list(range(L.size)) and all(
+        sum(1 << f[y] for y in range(L.size) if L.up[x] >> y & 1) == L.up[f[x]]
+        for x in range(L.size))
+
+
+# lattices with no swap at all; in O6, for instance, atom 1 lies below the
+# join-irreducible 3 and atom 2 does not
+NO_SWAPS = {"two_chain", "three_chain", "o6", "no_orthocomplement8", "O6xO6"}
+
+
+@pytest.mark.parametrize("name", sorted(SWAP_CORPUS))
+def test_swaps_are_automorphisms(name):
+    L = SWAP_CORPUS[name]
+    swaps = 0
+    for fixed in [0] + planes_of(L):
+        for s in range(L.size):
+            for t in range(L.size):
+                f = lattice._swap(L, fixed, s, t) if s != t else None
+                if f is not None:
+                    swaps += not fixed
+                    assert is_automorphism(L, f) and f[s] == t
+                    assert all(f[x] == x for x in range(L.size) if fixed >> x & 1)
+    assert (swaps == 0) == (name in NO_SWAPS)
+
+
+@pytest.mark.parametrize("name", sorted(SWAP_CORPUS))
+def test_orbits_against_query_only_union_find(name):
+    L = SWAP_CORPUS[name]
+    atoms, elements = list(L.atoms), list(range(L.size))
+    # on B6 the query-only reference takes about 20 s over all elements under
+    # one fixed element, so there a fixed element's points are the atoms
+    around_one = elements if L.size <= 36 else atoms
+    for fixed, points in ([(plane, atoms) for plane in planes_of(L)]
+                          + [(1 << x, around_one) for x in elements]):
+        found = []
+        assert _orbits(L, fixed, points, found) == query_only_orbits(L, fixed, points)
+        for f in found:
+            assert is_automorphism(L, f)
+            assert all(f[x] == x for x in range(L.size) if fixed >> x & 1)
 
 
 def battery_vector(L):
@@ -375,6 +472,16 @@ def test_battery_b6_vector():
 
 def test_battery_b7_vector():
     assert battery_vector(boolean(7)) == "TTTTTTFF"
+
+
+def test_battery_b10_vector(monkeypatch):
+    # 1 024 elements: swaps decide plane transitivity with no isomorphism
+    # search, whose recursion once per element would pass Python's limit
+    queries, isomorphisms = [], lattice._isomorphisms
+    monkeypatch.setattr(lattice, "_isomorphisms",
+                        lambda *args: queries.append(args) or isomorphisms(*args))
+    assert battery_vector(boolean(10)) == "TTTTTTFF"
+    assert queries == []
 
 
 def loop_max_orthogonal_family(L, comp):
@@ -403,7 +510,7 @@ def loop_covering_law(L):
     """The first (a, b, x) with a < x < a v b, scanning x upward, or None."""
     for a in range(L.size):
         for b in L.atoms:
-            ab = L.join_table[a][b]
+            ab = join(L, (a, b))
             for x in range(L.size):
                 if L.lt(a, x) and L.lt(x, ab):
                     return a, b, x

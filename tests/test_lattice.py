@@ -21,7 +21,7 @@ from subentity_lab.lattice import (
 )
 from subentity_lab.sps import atomic_sps
 
-from conftest import CORPUS, boolean, boolean_square, chain, mo2, n5, o6
+from conftest import CORPUS, boolean, boolean_cube, boolean_square, chain, mo2, n5, o6
 
 
 def brute_meet(L, subset):
@@ -45,8 +45,8 @@ def test_two_chain():
 
 def test_boolean_square_tables():
     L = boolean_square()
-    assert L.meet_table[1][2] == 0
-    assert L.join_table[1][2] == 3
+    assert meet(L, (1, 2)) == 0
+    assert join(L, (1, 2)) == 3
     assert L.atoms == (1, 2)
 
 
@@ -118,8 +118,8 @@ def brute_lattice(size, pairs):
                   if x != bottom and all(y in (bottom, x) for y in range(size) if le(y, x)))
     return {
         "leq": tuple(tuple(le(a, b) for b in range(size)) for a in range(size)),
-        "meet_table": tuple(tuple(meets[a, b] for b in range(size)) for a in range(size)),
-        "join_table": tuple(tuple(joins[a, b] for b in range(size)) for a in range(size)),
+        "meets": tuple(tuple(meets[a, b] for b in range(size)) for a in range(size)),
+        "joins": tuple(tuple(joins[a, b] for b in range(size)) for a in range(size)),
         "bottom": bottom,
         "top": greatest(range(size), le),
         "atoms": atoms,
@@ -136,7 +136,25 @@ def test_build_lattice_against_bruteforce(presentation):
         assert str(exc.value) == str(expected)
         return
     L = build_lattice(*presentation)
-    assert {key: getattr(L, key) for key in expected} == expected
+    pairwise = {
+        "meets": tuple(tuple(meet(L, (a, b)) for b in range(L.size)) for a in range(L.size)),
+        "joins": tuple(tuple(join(L, (a, b)) for b in range(L.size)) for a in range(L.size)),
+    }
+    assert {key: pairwise[key] if key in pairwise else getattr(L, key)
+            for key in expected} == expected
+
+
+def test_equality_and_hash_read_the_order():
+    # one lattice presented by its covers, by its whole order and in another
+    # pair order is one value; the same size with another order is not
+    covers = boolean_cube()
+    whole = build_lattice(8, [(a, b) for a in range(8) for b in range(8)
+                              if a != b and covers.leq[a][b]][::-1])
+    assert whole == covers and hash(whole) == hash(covers)
+    assert len({covers, whole, boolean_cube()}) == 1
+    assert chain(4) != boolean_square() and boolean(3) != boolean_cube()
+    assert mo2() != build_lattice(6, [(0, x) for x in range(1, 5)] + [(x, 5) for x in range(1, 4)]
+                                  + [(4, 3)])
 
 
 def test_meet_join_examples():
@@ -164,13 +182,13 @@ def test_meet_join_against_bruteforce_subsets(name):
 def test_absorption_idempotence_commutativity(corpus_lattice):
     L = corpus_lattice
     for a in range(L.size):
-        assert L.meet_table[a][a] == a
-        assert L.join_table[a][a] == a
+        assert meet(L, (a, a)) == a
+        assert join(L, (a, a)) == a
         for b in range(L.size):
-            assert L.meet_table[a][b] == L.meet_table[b][a]
-            assert L.join_table[a][b] == L.join_table[b][a]
-            assert L.meet_table[a][L.join_table[a][b]] == a
-            assert L.join_table[a][L.meet_table[a][b]] == a
+            assert meet(L, (a, b)) == meet(L, (b, a))
+            assert join(L, (a, b)) == join(L, (b, a))
+            assert meet(L, (a, join(L, (a, b)))) == a
+            assert join(L, (a, meet(L, (a, b)))) == a
 
 
 def test_interval():
@@ -223,7 +241,7 @@ def test_automorphisms_against_enumeration(name):
     got = [f.assignment for f in automorphisms(L)]
     assert got == brute
     # the stabilizer of each plane [0, s1 v s2] and of each single element
-    planes = [interval(L, L.bottom, L.join_table[s1][s2]) for s1 in L.atoms for s2 in L.atoms
+    planes = [interval(L, L.bottom, join(L, (s1, s2))) for s1 in L.atoms for s2 in L.atoms
               if s1 != s2]
     for fixed in planes + [{x} for x in range(L.size)]:
         got = [f.assignment for f in automorphisms(L, fixed=fixed)]
@@ -259,16 +277,16 @@ def plane_transitivity_queries(k, monkeypatch):
 
 def test_plane_transitivity_on_b6_asks_a_few_questions_per_plane(monkeypatch):
     # B6 has 15 planes, each fixing 2 of the 6 atoms; the other 4 form one
-    # orbit, which one union-find per plane finds in 3 questions (45 in all).
-    # The maps found on the first planes carry the witnessed pairs to the
-    # rest, so most planes are skipped and the walk stops early
-    assert plane_transitivity_queries(6, monkeypatch) == 9
+    # orbit.  The atoms are the join-irreducibles, and exchanging two atoms
+    # outside a plane is a swap that fixes it, so no plane asks a question
+    assert plane_transitivity_queries(6, monkeypatch) == 0
 
 
 @pytest.mark.parametrize("k", [4, 5, 7])
 def test_plane_transitivity_queries_on_boolean_ladder(k, monkeypatch):
-    # 3(k - 3) questions, against C(k, 2)(k - 3) with one union-find per plane
-    assert plane_transitivity_queries(k, monkeypatch) == 3 * (k - 3)
+    # swaps of atoms decide every orbit: no questions, against 3(k - 3) when
+    # only queries found maps and C(k, 2)(k - 3) with no maps kept
+    assert plane_transitivity_queries(k, monkeypatch) == 0
 
 
 def test_automorphism_counts():

@@ -16,6 +16,7 @@ from subentity_lab.lattice import build_lattice, meet
 from subentity_lab.sps import (
     Def1MeetClosureViolation,
     Def1TopBottomViolation,
+    SPSError,
     atomic_sps,
     build_sps,
     close_projections,
@@ -37,6 +38,10 @@ def test_minimal_entity():
     S = build_sps(chain(2), 1, [[False, True]])
     assert S.xi[0] == frozenset({1})
     assert S.kappa[1] == frozenset({0})
+    assert build_sps(chain(2), 1, [0b10]) == S  # a row as an int mask
+    for row in (0b110, -1):  # bits beyond the lattice
+        with pytest.raises(SPSError, match="dimensions"):
+            build_sps(chain(2), 1, [row])
 
 
 def test_meet_closure_violation():
@@ -302,6 +307,9 @@ def test_build_sps_against_frozenset_formulation(table):
     L, rows = table
     expected = _outcome(oracle_build_sps, L, len(rows), rows)
     got = _outcome(build_sps, L, len(rows), rows)
+    # the same rows given as int masks build the same system, or raise the same
+    masks = [sum(1 << a for a, actual in enumerate(row) if actual) for row in rows]
+    assert _outcome(build_sps, L, len(rows), masks) == got
     if isinstance(expected[0], type):
         assert got == expected
         return
