@@ -24,7 +24,6 @@ from .hilbert import (
     decompositions_sample,
     eigendecomposition,
     is_entangled,
-    jacobi_eigh,
     partial_trace,
     range_preorder,
     reduced_evolution,
@@ -33,11 +32,9 @@ from .hilbert import (
 )
 from .lattice import (
     FiniteLattice,
-    LatticeMap,
     automorphisms,
     build_lattice,
     find_isomorphism,
-    interval,
     join,
     meet,
 )

@@ -105,12 +105,9 @@ def _orthocomplement_search(L, by_orbit):
     everything = (1 << n) - 1
     zero, one = 1 << L.bottom, 1 << L.top  # the down-set of 0 and the up-set of I
     comp = [-1] * n
-    leaves = []
 
-    def backtrack(placed, weight):
-        if placed == everything:
-            leaves.append((tuple(comp), weight))
-            return
+    def frame(placed, weight):
+        """The least unpaired x and its valid images, split into the classes to descend into."""
         free = everything ^ placed
         x = (free & -free).bit_length() - 1
         want_up = want_down = 0  # images of the placed elements below / above x
@@ -128,15 +125,26 @@ def _orthocomplement_search(L, by_orbit):
                     and up[y] & placed == want_up and down[y] & placed == want_down):
                 images.append(y)
         if by_orbit and len(images) > 1:
-            classes = _orbits(L, placed | 1 << x, images)
+            classes = iter(_orbits(L, placed | 1 << x, images))
         else:
             classes = zip(images)  # each image a class of one
+        return x, classes, placed, weight
+
+    # an explicit stack of frames, one per placed pair, so depth costs no Python frames
+    leaves, stack = [], [frame(0, 1)]
+    while stack:
+        x, classes, placed, weight = stack[-1]
         for members in classes:
             y = members[0]
             comp[x], comp[y] = y, x
-            backtrack(placed | 1 << x | 1 << y, weight * len(members))
-
-    backtrack(0, 1)
+            below = placed | 1 << x | 1 << y
+            if below == everything:
+                leaves.append((tuple(comp), weight * len(members)))
+            else:
+                stack.append(frame(below, weight * len(members)))
+                break
+        else:
+            stack.pop()
     return leaves
 
 

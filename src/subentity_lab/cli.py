@@ -320,7 +320,9 @@ def _build_parser():
     p = command("subentity-search", _cmd_subentity_search,
                 "exhaustive subentity witness search between two systems",
                 {"part": system, "whole": system})
-    p.add_argument("--budget", type=_at_least(int, 0), default=10_000_000)
+    p.add_argument("--budget", type=_at_least(int, 0), default=10_000_000,
+                   help="the most property injections to try before stopping "
+                        "with exit 3 (default %(default)s)")
     command("subentity-quantum", _cmd_subentity_quantum,
             "build the completed model and verify the canonical witness",
             {"file": ("hilbert",)}, parents=(common, tolerance))

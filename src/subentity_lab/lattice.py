@@ -119,19 +119,6 @@ class FiniteLattice:
         return targets
 
 
-@dataclass(frozen=True)
-class LatticeMap:
-    """A verified order isomorphism between two finite lattices."""
-
-    source: FiniteLattice
-    target: FiniteLattice
-    assignment: tuple
-    kind: str  # "isomorphism" or "automorphism"
-
-    def __call__(self, x):
-        return self.assignment[x]
-
-
 def build_lattice(size, order_pairs):
     """Build a FiniteLattice from a size and a list of (lower, upper) pairs.
 
@@ -263,37 +250,39 @@ def _isomorphisms(L1, L2, pinned=None):
             mask ^= low
         return out
 
-    def backtrack(i, placed, used):
+    def frame(i, placed, used):
         # placed: mask of the elements assigned so far, used: mask of their images
-        if i == n:
-            yield tuple(assign)
-            return
         x = order[i]
-        want_up, want_down = image(up1[x] & placed), image(down1[x] & placed)
-        for y in candidates[x]:
+        return (x, iter(candidates[x]), placed, used,
+                image(up1[x] & placed), image(down1[x] & placed))
+
+    # an explicit stack of frames, one per assigned level, so depth costs no Python frames
+    stack = [frame(0, 0, 0)]
+    while stack:
+        x, untried, placed, used, want_up, want_down = stack[-1]
+        for y in untried:
             if not used >> y & 1 and up2[y] & used == want_up and down2[y] & used == want_down:
                 assign[x] = y
-                yield from backtrack(i + 1, placed | 1 << x, used | 1 << y)
-
-    yield from backtrack(0, 0, 0)
+                if len(stack) < n:
+                    stack.append(frame(len(stack), placed | 1 << x, used | 1 << y))
+                    break
+                yield tuple(assign)
+        else:
+            stack.pop()
 
 
 def find_isomorphism(L1, L2):
-    """Order isomorphism between two lattices, or None.
+    """Order isomorphism between two lattices as an assignment tuple, or None.
 
     Deterministic: the lexicographically least assignment is returned.
     """
-    found = next(_isomorphisms(L1, L2), None)
-    if found is None:
-        return None
-    kind = "automorphism" if L1 is L2 else "isomorphism"
-    return LatticeMap(L1, L2, found, kind)
+    return next(_isomorphisms(L1, L2), None)
 
 
 def automorphisms(L, fixed=()):
-    """Order automorphisms fixing each element of `fixed`, lexicographically; has identity."""
-    return [LatticeMap(L, L, a, "automorphism")
-            for a in _isomorphisms(L, L, {x: x for x in fixed})]
+    """Order automorphisms fixing each element of `fixed`, as assignment tuples,
+    lexicographically; has the identity."""
+    return list(_isomorphisms(L, L, {x: x for x in fixed}))
 
 
 def _orbits(L, fixed, points, found=None):

@@ -502,9 +502,3 @@ class Report:
     def render(self, fmt):
         return self.machine() if fmt == "machine" else self.human()
 
-
-def parse_machine_report(text):
-    """Inverse of Report.machine for round-trip checks."""
-    block = json.loads(text)
-    return Report(command=block["command"], digest=block["input_digest"],
-                  verdicts=block["verdicts"])

@@ -7,7 +7,8 @@ m(p') exactly when its image is actual in p'.  The search exploits that
 covariance fully determines the actual-set of m(p'): candidate images are
 the part states p with xi(p) = n^{-1}(xi'(p')).  Both sides are read as
 bit rows, xi(p) = up[strongest[p]], so a candidate lookup is one dict
-probe on the preimage mask.
+probe on the preimage mask, and the least onto m for a given injection n
+follows from counting candidates, without search.
 
 The quantum constructions reproduce both halves of the story: with
 pure-only part states an entangled compound state has no witness; with
@@ -18,6 +19,7 @@ with the identity) verifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -109,66 +111,43 @@ def _preimage(row, n):
 def search_witness(part, whole, budget=10_000_000):
     """Exhaustive deterministic search for a subentity witness.
 
-    Enumerates injections n in lexicographic order over property indices;
-    for each, the candidate images of a compound state p' are exactly the
-    part states whose actual-set row equals the n-preimage of p''s row,
-    and a backtracking pass looks for a surjective assignment.  Every
-    assignment of n, every complete n and every step of the pass spends
-    one node.  Returns the lexicographically least witness, or None after
-    a completed exhaustive search.  Raises BudgetExhausted when the node
-    limit is hit.
+    Tries the injections n in lexicographic order over property indices;
+    each injection tried spends one node.  Covariance fixes the actual-set
+    row of m(p') as the n-preimage of p''s row, so the compound states fall
+    into classes by that preimage, and n fails at the first preimage that
+    no part state has.  Otherwise m is read off without search: it can be
+    onto exactly when each class is at least as large as the set of part
+    states with its row, and within a class of k compound states and j such
+    part states, the least onto m maps the first k - j + 1 to the least
+    part state and the rest, in order, to the others.  Classes are
+    independent, so that m is lexicographically least.  Returns the least
+    witness in (n, m) order, or None after a completed exhaustive search.
+    Raises BudgetExhausted when the node limit is hit.
     """
-    nprops, nprops_w = part.lattice.size, whole.lattice.size
-    nstates_w = whole.num_states
-    if nprops > nprops_w:
-        return None
     by_row = {}  # actual-set row -> the part states with it, ascending
     for p, s in enumerate(part.strongest):
         by_row.setdefault(part.lattice.up[s], []).append(p)
     rows_w = [whole.lattice.up[s] for s in whole.strongest]
-    n, m = [-1] * nprops, [-1] * nstates_w
-    nodes = 0
-
-    def spend():
-        nonlocal nodes
-        nodes += 1
+    injections = permutations(range(whole.lattice.size), part.lattice.size)
+    for nodes, n in enumerate(injections, 1):
         if nodes > budget:
             raise BudgetExhausted(budget)
-
-    def assign_m(i, uncovered, candidates):
-        spend()
-        if i == nstates_w:
-            return not uncovered
-        if uncovered.bit_count() > nstates_w - i:
-            return False
-        for p in candidates[i]:
-            m[i] = p
-            if assign_m(i + 1, uncovered & ~(1 << p), candidates):
-                return True
-        return False
-
-    def assign_n(a, used):
-        if a == nprops:
-            spend()
-            candidates = []
-            for row in rows_w:
-                inv = _preimage(row, n)
-                if inv not in by_row:
-                    return None
-                candidates.append(by_row[inv])
-            if assign_m(0, (1 << part.num_states) - 1, candidates):
-                return SubentityWitness(m=tuple(m), n=tuple(n))
-            return None
-        for y in range(nprops_w):
-            if not used >> y & 1:
-                spend()
-                n[a] = y
-                found = assign_n(a + 1, used | 1 << y)
-                if found is not None:
-                    return found
-        return None
-
-    return assign_n(0, 0)
+        classes = {}  # preimage row -> the compound states with it, ascending
+        for pw, row in enumerate(rows_w):
+            inv = _preimage(row, n)
+            if inv not in by_row:
+                break
+            classes.setdefault(inv, []).append(pw)
+        else:
+            if all(len(classes.get(row, ())) >= len(ps) for row, ps in by_row.items()):
+                m = [0] * len(rows_w)
+                for row, members in classes.items():
+                    ps = by_row[row]
+                    surplus = len(members) - len(ps)
+                    for k, pw in enumerate(members):
+                        m[pw] = ps[max(k - surplus, 0)]
+                return SubentityWitness(m=tuple(m), n=n)
+    return None
 
 
 def build_completed_model(dims, whole_states, part_props, eps=EPS):

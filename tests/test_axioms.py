@@ -5,7 +5,9 @@ with no pruning; the checkers must agree with them on every lattice in
 the corpus.
 """
 
+import math
 import random
+import sys
 from itertools import combinations, permutations
 
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from subentity_lab import lattice
 from subentity_lab.axioms import (
     AXIOM_ORDER,
+    NoOrthocomplementation,
     _irreducibility,
     _max_orthogonal_family,
     _orthocomplement_search,
@@ -218,6 +221,26 @@ def test_weak_modularity_hexagon_fails():
     assert join(L, (meet(L, (b, comp[a])), a)) == a != b
 
 
+def test_weak_modularity_needs_an_orthocomplementation():
+    with pytest.raises(NoOrthocomplementation):
+        check_weak_modularity(atomic_sps(n5()))
+
+
+def test_orthocomplement_search_has_no_depth_limit():
+    # MO_600 pairs 601 elements, one search level each, past a lowered limit
+    L = mo(600)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(400)
+    try:
+        leaves = _orthocomplement_search(L, by_orbit=True)
+    finally:
+        sys.setrecursionlimit(limit)
+    # the 1 200 atoms are twins, so one leaf weighs every pairing of them
+    [(comp, weight)] = leaves
+    assert comp == (L.top,) + sum(((a + 1, a) for a in range(1, L.top, 2)), ()) + (0,)
+    assert weight == math.prod(range(1, 1200, 2))
+
+
 def test_irreducibility_examples():
     v = check_irreducibility(atomic_sps(boolean_square()))
     assert not v.passed and v.counterexample in (1, 2)  # any proper element reduces
@@ -282,9 +305,9 @@ def filtered_plane_transitivity(L):
     planes = {interval(L, L.bottom, join(L, (s1, s2))) for s1, s2 in atom_pairs}
     witnessed = set()
     for f in automorphisms(L):
-        fixed = {a for a in range(L.size) if f(a) == a}
+        fixed = {a for a in range(L.size) if f[a] == a}
         if any(plane <= fixed for plane in planes):
-            witnessed.update((s, f(s)) for s in L.atoms)
+            witnessed.update((s, f[s]) for s in L.atoms)
     return plane_verdict(L, witnessed, atom_pairs)
 
 
@@ -311,7 +334,7 @@ def stabilizer_plane_transitivity(L):
     """(passed, counterexample, note) from listing each plane's whole pointwise stabilizer."""
     atom_pairs = [(s1, s2) for s1 in L.atoms for s2 in L.atoms if s1 != s2]
     planes = {interval(L, L.bottom, join(L, (s1, s2))) for s1, s2 in atom_pairs}
-    witnessed = {(s, f(s)) for plane in planes for f in automorphisms(L, fixed=plane)
+    witnessed = {(s, f[s]) for plane in planes for f in automorphisms(L, fixed=plane)
                  for s in L.atoms}
     return plane_verdict(L, witnessed, atom_pairs)
 

@@ -204,8 +204,15 @@ def test_interval():
 def test_isomorphism_identity_and_size_mismatch():
     L = chain(3)
     f = find_isomorphism(L, L)
-    assert f.assignment == (0, 1, 2)
+    assert f == (0, 1, 2)
     assert find_isomorphism(boolean_square(), mo2()) is None
+    assert find_isomorphism(chain(4), boolean_square()) is None  # equal sizes, other covers
+
+
+def test_isomorphism_search_has_no_depth_limit():
+    # one search level per element: 1 200 levels are past the default limit
+    L = chain(1200)
+    assert find_isomorphism(L, L) == tuple(range(1200))
 
 
 def test_isomorphism_between_relabelings():
@@ -216,13 +223,13 @@ def test_isomorphism_between_relabelings():
     assert f is not None
     for x in range(6):
         for y in range(6):
-            assert A.leq[x][y] == B.leq[f(x)][f(y)]
+            assert A.leq[x][y] == B.leq[f[x]][f[y]]
     # oracle: some permutation works, and the found one is the lex-least such
     valid = [
         p for p in permutations(range(6))
         if all(A.leq[x][y] == B.leq[p[x]][p[y]] for x in range(6) for y in range(6))
     ]
-    assert f.assignment == min(valid)
+    assert f == min(valid)
     assert find_isomorphism(B, A) is not None  # symmetry
 
 
@@ -238,13 +245,13 @@ def brute_automorphisms(L):
 def test_automorphisms_against_enumeration(name):
     L = CORPUS[name]
     brute = brute_automorphisms(L)
-    got = [f.assignment for f in automorphisms(L)]
+    got = automorphisms(L)
     assert got == brute
     # the stabilizer of each plane [0, s1 v s2] and of each single element
     planes = [interval(L, L.bottom, join(L, (s1, s2))) for s1 in L.atoms for s2 in L.atoms
               if s1 != s2]
     for fixed in planes + [{x} for x in range(L.size)]:
-        got = [f.assignment for f in automorphisms(L, fixed=fixed)]
+        got = automorphisms(L, fixed=fixed)
         assert got == [p for p in brute if all(p[x] == x for x in fixed)]
     # one pinned pair x -> y, which need not be a fixed point
     for x in range(L.size):
@@ -298,7 +305,7 @@ def test_automorphism_counts():
 
 def test_automorphisms_form_group(corpus_lattice):
     autos = automorphisms(corpus_lattice)
-    table = {f.assignment for f in autos}
+    table = set(autos)
     assert tuple(range(corpus_lattice.size)) in table
     for f in table:
         inverse = [0] * len(f)

@@ -26,7 +26,6 @@ from subentity_lab.modelio import (
     format_complex,
     input_digest,
     parse_complex,
-    parse_machine_report,
     parse_model,
     serialize_model,
 )
@@ -496,10 +495,9 @@ def test_machine_report_round_trip():
                  verdicts=[{"axiom": "atomicity", "passed": True}])
     block = json.loads(rep.machine())
     assert block["tool_version"]
-    back = parse_machine_report(rep.machine())
-    assert back.command == rep.command
-    assert back.digest == rep.digest
-    assert back.verdicts == rep.verdicts
+    assert block["command"] == rep.command
+    assert block["input_digest"] == rep.digest
+    assert block["verdicts"] == rep.verdicts
 
 
 # --- CLI ------------------------------------------------------------------
@@ -527,6 +525,16 @@ def test_cli_check_axioms_exit_and_machine_block():
 
 def test_cli_sps_check():
     assert cli("sps-check", fx("boolean_square.sps"))[0] == 0
+
+
+def test_cli_sps_check_invalid_system_is_a_negative_verdict(tmp_path):
+    # both middle properties actual in one state, but not their meet 0
+    path = tmp_path / "bad.sps"
+    path.write_text((FIXTURES / "boolean_square.sps").read_text().replace("0 1 0 1", "0 1 1 1"))
+    code, out, _ = cli("sps-check", str(path), "--format", "machine")
+    assert code == 1
+    [verdict] = json.loads(out)["verdicts"]
+    assert verdict["passed"] is False and "meet closure" in verdict["reason"]
 
 
 def test_cli_schmidt():
@@ -566,6 +574,13 @@ def test_cli_subentity_quantum():
     assert code == 0
     v = json.loads(out)["verdicts"][0]
     assert v["canonical_covariance"] and v["witness_verified"]
+
+
+def test_cli_subentity_quantum_library_error_is_an_input_error():
+    # a tolerance above 1 makes the zero projection actual in every state
+    code, out, err = cli("subentity-quantum", fx("bell_completed.model"), "--eps", "1.5")
+    assert code == 2 and out == ""
+    assert err == f"{fx('bell_completed.model')}: state 0: bottom property is actual\n"
 
 
 def test_cli_lecce_build():
@@ -666,6 +681,13 @@ def test_cli_out_flag(tmp_path):
                        "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["command"] == "ptrace"
+
+
+def test_cli_unwritable_out_is_an_input_error(tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = cli("ptrace", fx("bell.hilbert"), "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"cannot write {target}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("text,argv", [

@@ -1,12 +1,15 @@
 """Witness verification and search, cross-checked against a naive
-double enumeration over all injections n and all surjections m."""
+double enumeration over all injections n and all surjections m, and,
+on pairs beyond its reach, against a backtracking search over m."""
 
+import random
 from itertools import permutations, product
 
 import numpy as np
 import pytest
 
 from subentity_lab import sps as sps_module
+from subentity_lab import subentity as subentity_module
 from subentity_lab.hilbert import DimensionMismatch, partial_trace, tensor
 from subentity_lab.subentity import (
     BudgetExhausted,
@@ -20,7 +23,7 @@ from subentity_lab.subentity import (
 from subentity_lab.sps import atomic_sps, build_sps, quantum_sps
 
 from conftest import (BELL, MINUS, PLUS, Z0, Z1, boolean, boolean_square, chain, ket, mo,
-                      proj)
+                      n5, o6, proj)
 
 
 def oracle_witnesses(part, whole):
@@ -38,6 +41,34 @@ def oracle_witnesses(part, whole):
             ):
                 found.append((n, m))
     return sorted(found)
+
+
+def reference_search(part, whole):
+    """The least witness in (n, m) order, or None: every injection n in
+    lexicographic order, then a backtracking search for the least onto m
+    among each compound state's candidates, the part states whose row is
+    the n-preimage of its row."""
+    by_row = {}
+    for p, s in enumerate(part.strongest):
+        by_row.setdefault(part.lattice.up[s], []).append(p)
+    rows_w = [whole.lattice.up[s] for s in whole.strongest]
+
+    def onto(i, uncovered, candidates, m):
+        if i == len(candidates):
+            return not uncovered
+        for p in candidates[i]:
+            m[i] = p
+            if onto(i + 1, uncovered & ~(1 << p), candidates, m):
+                return True
+        return False
+
+    for n in permutations(range(whole.lattice.size), part.lattice.size):
+        inv = [sum(1 << a for a, y in enumerate(n) if row >> y & 1) for row in rows_w]
+        if all(x in by_row for x in inv):
+            m = [-1] * len(rows_w)
+            if onto(0, (1 << part.num_states) - 1, [by_row[x] for x in inv], m):
+                return SubentityWitness(m=tuple(m), n=n)
+    return None
 
 
 def pure_part_sps():
@@ -150,10 +181,51 @@ def test_search_matches_double_enumeration(idx):
         assert verify_witness(part, whole, got).ok
 
 
+def random_system(rng, L, num_states):
+    # states drawn with repetition, so that some share a row
+    rows = [L.up[rng.choice([x for x in range(L.size) if x != L.bottom])]
+            for _ in range(num_states)]
+    return build_sps(L, num_states, rows)
+
+
+def test_search_matches_double_enumeration_on_random_pairs():
+    rng = random.Random(19)
+    parts = [chain(2), chain(3), boolean(2), n5()]
+    wholes = [chain(2), chain(3), chain(4), boolean(2), n5(), o6(), mo(2)]
+    found = crowded = 0
+    for _ in range(1000):
+        part = random_system(rng, rng.choice(parts), rng.randint(1, 3))
+        whole = random_system(rng, rng.choice(wholes), rng.randint(1, 4))
+        expect = oracle_witnesses(part, whole)
+        got = search_witness(part, whole)
+        if not expect:
+            assert got is None
+            continue
+        n, m = expect[0]
+        assert got == SubentityWitness(m=m, n=n)
+        found += 1
+        # a class of compound states larger than the shared part row it maps to
+        shared = [p for p in range(part.num_states)
+                  if part.strongest.count(part.strongest[p]) > 1]
+        crowded += sum(1 for p in shared if m.count(p) > 1) > 0
+    # both verdicts occur, and the least m is read off classes that hold more
+    # compound states than part states with a shared row
+    assert found > 200 and 1000 - found > 200 and crowded > 50
+
+
 def test_search_self_witness(corpus_lattice):
     S = atomic_sps(corpus_lattice)
     w = search_witness(S, S)
     assert w is not None and verify_witness(S, S, w).ok
+    assert w == reference_search(S, S)
+
+
+def test_search_has_no_depth_limit():
+    # 1 200 compound states, all sent to the one part state, must not cost
+    # an interpreter stack frame each
+    part = build_sps(chain(2), 1, [0b10])
+    whole = build_sps(chain(2), 1200, [0b10] * 1200)
+    assert search_witness(part, whole) == SubentityWitness(m=(0,) * 1200, n=(0, 1))
 
 
 def test_budget_exhaustion_reproducible():
@@ -166,16 +238,17 @@ def test_budget_exhaustion_reproducible():
 
 
 # Each pair's node threshold: the search decides at this budget and runs out
-# one node below it.  A faster search may lower these; it must not move them
-# while only the representation changes.
+# one node below it.  A node is one injection tried, so a "none" costs every
+# injection: 6!, 8!/4! and 10!/6!.  A faster search may lower these; it must
+# not move them while only the representation changes.
 THRESHOLDS = {
-    "pure-bell": (lambda: (pure_part_sps().sps, bell_whole_sps().sps), 2676, None),
-    "B2-B4": (lambda: (atomic_sps(boolean(2)), atomic_sps(boolean(4))), 358,
+    "pure-bell": (lambda: (pure_part_sps().sps, bell_whole_sps().sps), 720, None),
+    "B2-B4": (lambda: (atomic_sps(boolean(2)), atomic_sps(boolean(4))), 169,
               SubentityWitness(m=(0, 1, 1, 1), n=(0, 1, 14, 15))),
-    "MO2-B4": (lambda: (atomic_sps(mo(2)), atomic_sps(boolean(4))), 401,
+    "MO2-B4": (lambda: (atomic_sps(mo(2)), atomic_sps(boolean(4))), 187,
                SubentityWitness(m=(0, 1, 2, 3), n=(0, 1, 2, 4, 8, 15))),
-    "B2-MO3": (lambda: (atomic_sps(boolean(2)), atomic_sps(mo(3))), 3760, None),
-    "B2-MO4": (lambda: (atomic_sps(boolean(2)), atomic_sps(mo(4))), 10900, None),
+    "B2-MO3": (lambda: (atomic_sps(boolean(2)), atomic_sps(mo(3))), 1680, None),
+    "B2-MO4": (lambda: (atomic_sps(boolean(2)), atomic_sps(mo(4))), 5040, None),
 }
 
 
@@ -183,6 +256,7 @@ THRESHOLDS = {
 def test_search_node_threshold(pair):
     build, nodes, witness = THRESHOLDS[pair]
     part, whole = build()
+    assert reference_search(part, whole) == witness
     assert search_witness(part, whole, budget=nodes) == witness
     with pytest.raises(BudgetExhausted):
         search_witness(part, whole, budget=nodes - 1)
@@ -239,6 +313,16 @@ def test_build_completed_model_mixed_roster():
     assert any(np.allclose(M, proj(Z0)) for M in mats)
     assert verify_witness(model.part.sps, model.whole.sps, model.witness).ok
     assert canonical_witness_check(model)
+
+
+def test_canonical_witness_check_catches_a_wrong_factor_reduction(monkeypatch):
+    # Tr(W (P x I)) = Tr(Tr_B(W) P) for every W and P, so only a reduction
+    # on the other factor can break it: |0>|1> is certain of |0><0| on A
+    model = build_completed_model((2, 2), [proj(np.kron(Z0, Z1))], [proj(Z0), proj(Z1)])
+    assert canonical_witness_check(model)
+    monkeypatch.setattr(subentity_module, "partial_trace",
+                        lambda W, dA, dB, keep: partial_trace(W, dA, dB, "B"))
+    assert not canonical_witness_check(model)
 
 
 def test_wrong_factor_lifting_breaks_covariance():
