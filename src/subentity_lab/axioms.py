@@ -12,7 +12,8 @@ standard lattice-theoretic reading).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from itertools import combinations
+from typing import NamedTuple
 
 # automorphisms and meet are not called here; they are imported because
 # perfbench/test_perfbench.py::test_tracer_patches_names_where_they_are_called
@@ -41,8 +42,9 @@ AXIOM_ORDER = (
 )
 
 
-@dataclass(frozen=True)
-class AxiomVerdict:
+class AxiomVerdict(NamedTuple):
+    """One axiom's verdict; a named tuple, so it also equals the plain tuple of its fields."""
+
     axiom: str
     passed: bool | None  # None = witness-dependent discrepancy, no verdict
     witness: object = None
@@ -166,8 +168,9 @@ def check_covering_law(S):
     """No element may sit strictly between a and a v b for an atom b."""
     L = S.lattice
     up, down, by_up = L.up, L.down, L.by_up
+    atoms = sum(1 << b for b in L.atoms)
     for a in range(L.size):
-        for b in L.atoms:
+        for b in _bits(atoms & ~down[a]):  # an atom b <= a has a v b = a
             ab = by_up[up[a] & up[b]]
             between = up[a] & down[ab] & ~(1 << a | 1 << ab)
             if between:
@@ -210,8 +213,9 @@ def check_plane_transitivity(S):
     g(P) and maps g(s) to g(t), so the witnessed pairs are closed under every
     automorphism g: the check keeps each map its queries find and, after
     each plane, closes the witnessed pairs under all of them.  The planes
-    are walked in ascending mask order.  A plane is skipped when every pair
-    of atoms outside it is witnessed already (its stabilizer fixes its own
+    come from unordered atom pairs, since the join is symmetric, and are
+    walked in ascending mask order.  A plane is skipped when every pair of
+    atoms outside it is witnessed already (its stabilizer fixes its own
     atoms), and the walk stops once every pair is witnessed.  Otherwise
     every plane is processed, so a failing lattice has the same witnessed
     pairs, and the same counterexample, as the union over all planes.
@@ -220,7 +224,7 @@ def check_plane_transitivity(S):
     atoms = L.atoms
     everything = sum(1 << s for s in atoms)
     up, down, by_up = L.up, L.down, L.by_up
-    planes = sorted({down[by_up[up[s1] & up[s2]]] for s1 in atoms for s2 in atoms if s1 != s2})
+    planes = sorted({down[by_up[up[s1] & up[s2]]] for s1, s2 in combinations(atoms, 2)})
     # reach[s]: mask of the atoms t with (s, t) witnessed; under any plane's
     # stabilizer each atom is its own orbit, so (s, s) is witnessed
     reach = {s: 1 << s if planes else 0 for s in atoms}
@@ -340,7 +344,9 @@ def run_battery(S):
     automorphism g maps each witness w to g w g^-1 and keeps both
     verdicts, since g preserves meets, joins and order.  A verdict that
     differs between witnesses is reported with passed=None instead of
-    picking a side.
+    picking a side.  Each leaf is decided once: the first by the checker,
+    whose verdict is reported when every leaf agrees with it, the others by
+    the checker's decider alone.
     """
     verdicts = [check_state_determination(S), check_atomicity(S)]
     leaves = _orthocomplement_search(S.lattice, by_orbit=True)
@@ -349,13 +355,12 @@ def run_battery(S):
     def comp_dependent(name, checker, decider):
         if not leaves:
             return AxiomVerdict(name, False, note="lattice is not orthocomplemented")
-        outcomes = set()
-        for w, _ in leaves:
-            outcomes.add(decider(S.lattice, w) is None)
-            if len(outcomes) > 1:
+        verdict = checker(S, comp=leaves[0][0])
+        for w, _ in leaves[1:]:
+            if (decider(S.lattice, w) is None) != verdict.passed:
                 return AxiomVerdict(name, None,
                                     note="verdict depends on the orthocomplementation witness")
-        return checker(S, comp=leaves[0][0])
+        return verdict
 
     verdicts.append(comp_dependent("weak_modularity", check_weak_modularity, _weak_modularity))
     verdicts.append(check_plane_transitivity(S))

@@ -1,14 +1,16 @@
 """Finite posets and complete lattices with exact integer arithmetic.
 
-Elements are dense indices 0..n-1.  The order is closed at build time on
-integer bit rows, giving each element's down-set and up-set.  The bit rows
-(`up`, `down`) are the one stored form of the order, with two inverse
-indices from a down-set (up-set) mask to its element.  A meet is the
-element whose down-set is the intersection of the down-sets, a join
+Elements are dense indices 0..n-1.  The order is closed at build time
+after a topological sort of the given pairs, one row OR per element and
+pair, giving each element's down-set and up-set as an integer bit row.
+The bit rows (`up`, `down`) are the one stored form of the order, with two
+inverse indices from a down-set (up-set) mask to its element.  A meet is
+the element whose down-set is the intersection of the down-sets, a join
 likewise through up-sets: one AND and one dict lookup, with no n² table.
-Bottom, top and atoms come from the same sets, the boolean `leq` table is
-a view read off the rows on first use, and lattices compare equal and hash
-alike on the `up` rows.
+The build checks joins only, since a finite poset with a bottom in which
+every pair has a join is a lattice.  Bottom, top and atoms come from the
+same sets, the boolean `leq` table is a view read off the rows on first
+use, and lattices compare equal and hash alike on the `up` rows.
 
 The isomorphism search assigns elements one at a time and tests each
 candidate image with two mask comparisons against the images already
@@ -122,51 +124,57 @@ class FiniteLattice:
 def build_lattice(size, order_pairs):
     """Build a FiniteLattice from a size and a list of (lower, upper) pairs.
 
-    The pairs are closed reflexively and transitively.  Raises
-    NotAPartialOrder on a cycle and NotALattice when some pair of elements
-    has no unique greatest lower bound or least upper bound.
+    The pairs are closed reflexively and transitively in O(n + m) row ORs
+    for m pairs: during a topological sort (Kahn) each down-set row is the
+    OR of its lower neighbours' rows, and then each up-set row that of its
+    upper neighbours' rows in reverse topological order.  Raises
+    NotAPartialOrder on a cycle, which is where the sort stalls, and
+    NotALattice when some pair of elements has no unique greatest lower
+    bound or least upper bound.
     """
     if size < 1:
         raise LatticeError("lattice needs at least one element")
-    up = [1 << a for a in range(size)]  # bit b of up[a] is set iff a <= b
+    above = [[] for _ in range(size)]
+    below = [[] for _ in range(size)]
     for a, b in order_pairs:
         if not (0 <= a < size and 0 <= b < size):
             raise LatticeError(f"order pair ({a},{b}) out of range for size {size}")
-        up[a] |= 1 << b
-    # Warshall closure
-    for k in range(size):
-        for i in range(size):
-            if up[i] >> k & 1:
-                up[i] |= up[k]
-    down = [0] * size  # up transposed
-    for a, row in enumerate(up):
-        for b in _bits(row):
-            down[b] |= 1 << a
-    for a in range(size):
-        above = up[a] & down[a] & -(2 << a)  # elements b > a with a <= b <= a
-        if above:
-            b = (above & -above).bit_length() - 1
-            raise NotAPartialOrder(f"cycle through elements {a} and {b}")
+        if a != b:
+            above[a].append(b)
+            below[b].append(a)
+    # Kahn's sort: x is placed once every element below it in a pair is, and
+    # its down-set row is then the OR of those elements' rows
+    down = [1 << b for b in range(size)]  # bit a of down[b] is set iff a <= b
+    waiting = [len(xs) for xs in below]
+    order = [x for x in range(size) if not waiting[x]]
+    for x in order:  # grows while it is walked
+        row = down[x]
+        for a in below[x]:
+            row |= down[a]
+        down[x] = row
+        for y in above[x]:
+            waiting[y] -= 1
+            if not waiting[y]:
+                order.append(y)
+    if len(order) < size:
+        raise NotAPartialOrder("cycle through elements %d and %d" % _cycle(above, order))
+    up = [1 << a for a in range(size)]  # bit b of up[a] is set iff a <= b
+    for a in reversed(order):
+        row = up[a]
+        for b in above[a]:
+            row |= up[b]
+        up[a] = row
 
     # a bound is the element whose down-set (up-set) is the intersection.  A
-    # comparable pair's bounds are the pair itself, and (b, a) fails exactly
-    # when (a, b) does, so checking the incomparable a < b row by row, meet
-    # before join, fails first on the pair a scan of all n² would name
+    # finite poset with a bottom in which every two elements have a join is
+    # a lattice, so only joins are checked; the meets are tested only on
+    # failure, to name the pair a meet-first scan would
     by_down = {mask: x for x, mask in enumerate(down)}
     by_up = {mask: x for x, mask in enumerate(up)}
     everything = (1 << size) - 1
-    for a in range(size):
-        rest = everything & ~(up[a] | down[a]) & -(2 << a)  # incomparable b > a
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            b = low.bit_length() - 1
-            if down[a] & down[b] not in by_down:
-                raise NotALattice((a, b), "meet")
-            if up[a] & up[b] not in by_up:
-                raise NotALattice((a, b), "join")
-
-    bottom = by_up[everything]
+    bottom = by_up.get(everything)
+    if bottom is None or _unbounded(up, down, by_up):
+        raise NotALattice(*_unbounded(up, down, by_up, by_down))
     return FiniteLattice(
         size=size,
         bottom=bottom,
@@ -177,6 +185,52 @@ def build_lattice(size, order_pairs):
         by_up=by_up,
         by_down=by_down,
     )
+
+
+def _unbounded(up, down, by_up, by_down=None):
+    """(pair, "join") for the first incomparable pair a < b, row by row, with no join, or None.
+
+    Given `by_down`, each pair's meet is tested before its join, and the
+    first failure is returned as (pair, "meet") or (pair, "join").  A
+    comparable pair's bounds are the pair itself, and (b, a) fails exactly
+    when (a, b) does, so that names the pair a scan of all n² would.
+    """
+    everything = (1 << len(up)) - 1
+    for a, row in enumerate(up):
+        rest = everything & ~(row | down[a]) & -(2 << a)  # incomparable b > a
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            b = low.bit_length() - 1
+            if by_down is not None and down[a] & down[b] not in by_down:
+                return (a, b), "meet"
+            if row & up[b] not in by_up:
+                return (a, b), "join"
+    return None
+
+
+def _cycle(above, order):
+    """The least element a on a cycle and the least b > a on a cycle with it.
+
+    Run only once Kahn's sort has stalled.  The sort leaves exactly the
+    elements on or above a cycle out of `order`, so everything reachable
+    from them is left out too.
+    """
+    placed = set(order)
+    left = [x for x in range(len(above)) if x not in placed]
+    reach = {}  # x -> mask of the elements reachable from x
+    for x in left:
+        seen, todo = 0, [x]
+        while todo:
+            y = todo.pop()
+            if not seen >> y & 1:
+                seen |= 1 << y
+                todo += above[y]
+        reach[x] = seen
+    for a in left:
+        for b in _bits(reach[a] & -(2 << a)):
+            if reach[b] >> a & 1:
+                return a, b
 
 
 def _bits(mask):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subentity_lab import lattice
+from subentity_lab import axioms, lattice
 from subentity_lab.axioms import (
     AXIOM_ORDER,
     NoOrthocomplementation,
@@ -632,3 +632,37 @@ def test_comp_dependent_verdicts_stable_across_witnesses():
         battery = {v.axiom: v.passed for v in run_battery(S)}
         assert (len(wm) == 1) == (battery["weak_modularity"] is not None)
         assert (len(irr) == 1) == (battery["irreducibility"] is not None)
+
+
+# B3+B3 leaves two leaves in the orbit search, which disagree on weak modularity
+ONE_DECISION = {**CORPUS, "B3+B3": horizontal_sum(boolean(3), boolean(3)),
+                "MO2xMO2": product(mo(2), mo(2))}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_DECISION))
+def test_battery_decides_each_leaf_once(name, monkeypatch):
+    L = ONE_DECISION[name]
+    S = atomic_sps(L)
+    leaves = [w for w, _ in _orthocomplement_search(L, by_orbit=True)]
+    deciders = {"weak_modularity": (_weak_modularity, check_weak_modularity),
+                "irreducibility": (_irreducibility, check_irreducibility)}
+    calls = {axiom: [] for axiom in deciders}
+    for axiom, (decider, _) in deciders.items():
+        def counted(L, comp, decider=decider, seen=calls[axiom]):
+            seen.append(comp)
+            return decider(L, comp)
+        monkeypatch.setattr(axioms, f"_{axiom}", counted)
+    verdicts = {v.axiom: v for v in run_battery(S)}
+    monkeypatch.undo()
+    for axiom, (decider, checker) in deciders.items():
+        seen, v = calls[axiom], verdicts[axiom]
+        if not leaves:
+            assert seen == [] and v == (axiom, False, None, None, "lattice is not orthocomplemented")
+        elif v.passed is None:
+            # the leaves are decided in order up to the first that disagrees with the first
+            assert len(seen) > 1 and seen == leaves[:len(seen)]
+            first, *agreeing, last = [decider(L, w) is None for w in seen]
+            assert agreeing == [first] * len(agreeing) and last != first
+        else:
+            assert seen == leaves
+            assert v == checker(S, comp=leaves[0])

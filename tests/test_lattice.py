@@ -126,22 +126,66 @@ def brute_lattice(size, pairs):
     }
 
 
-@settings(max_examples=400, derandomize=True, deadline=None)
-@given(presentations())
-def test_build_lattice_against_bruteforce(presentation):
-    expected = brute_lattice(*presentation)
+@st.composite
+def tangled_presentations(draw):
+    """(size, pairs) on up to 10 elements, relabeled, with duplicate pairs and self-loops.
+
+    An acyclic core, optionally with a bottom and a top, lists some of the
+    pairs its closure implies against topological order, and may gain
+    cycles, some with an element below and an element above them.
+    """
+    size = draw(st.integers(1, 10))
+    label = draw(st.permutations(range(size)))
+    node = st.integers(0, size - 1)
+    core = sorted({tuple(sorted(e)) for e in draw(st.lists(st.tuples(node, node), max_size=20))})
+    if draw(st.booleans()):
+        core += [(0, x) for x in range(1, size)]
+    if draw(st.booleans()):
+        core += [(x, size - 1) for x in range(size - 1)]
+    implied = sorted({(a, c) for a, b in core for b2, c in core if b == b2 and a < b < c},
+                     reverse=True)  # upper ends first, so against topological order
+    pairs = [(label[a], label[b]) for a, b in core + draw(st.lists(st.sampled_from(implied))
+                                                          if implied else st.just([]))]
+    for _ in range(draw(st.integers(0, 3)) if size > 1 else 0):
+        cycle = draw(st.lists(node, min_size=2, max_size=4, unique=True))
+        pairs += zip(cycle, cycle[1:] + cycle[:1])
+        if draw(st.booleans()):
+            pairs += [(draw(node), cycle[0]), (cycle[-1], draw(node))]
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=4))
+    return size, draw(st.permutations(pairs))
+
+
+def assert_build_matches_bruteforce(size, pairs):
+    expected = brute_lattice(size, pairs)
     if isinstance(expected, Exception):
         with pytest.raises(type(expected)) as exc:
-            build_lattice(*presentation)
+            build_lattice(size, pairs)
         assert str(exc.value) == str(expected)
         return
-    L = build_lattice(*presentation)
+    L = build_lattice(size, pairs)
     pairwise = {
         "meets": tuple(tuple(meet(L, (a, b)) for b in range(L.size)) for a in range(L.size)),
         "joins": tuple(tuple(join(L, (a, b)) for b in range(L.size)) for a in range(L.size)),
     }
     assert {key: pairwise[key] if key in pairwise else getattr(L, key)
             for key in expected} == expected
+    assert L.down == tuple(sum(1 << a for a in range(L.size) if L.up[a] >> b & 1)
+                           for b in range(L.size))
+    assert L.by_up == {row: x for x, row in enumerate(L.up)}
+    assert L.by_down == {row: x for x, row in enumerate(L.down)}
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(presentations())
+def test_build_lattice_against_bruteforce(presentation):
+    assert_build_matches_bruteforce(*presentation)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(tangled_presentations())
+def test_build_lattice_against_bruteforce_tangled(presentation):
+    assert_build_matches_bruteforce(*presentation)
 
 
 def test_equality_and_hash_read_the_order():
