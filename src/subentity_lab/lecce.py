@@ -5,13 +5,14 @@ physical objects tagged with the preparing device that produced them and
 a counterfactual yes/no outcome for every registering device.  Limits of
 frequencies are exact rational fractions over the finite rosters, which
 are tallied once per world and required equal across laboratories.  The
-tally groups each roster by preparer and outcomes tuple, so it reads
-each distinct row once, however many objects repeat it; equal counts
-share one Fraction, and rows are compared whole before cell by cell.
-States are equivalence classes of preparing devices (equal frequency
-rows), properties are classes of ideal registering devices (equal
-extensions across labs), and the certainly-true / certainly-yes domains
-are the dual maps built from extension inclusion.
+tally groups each roster in one pass by preparer and outcomes tuple, and
+works per group after that; labs are compared by their integer counts,
+and Fractions are made only for the cells that differ.  States are
+equivalence classes of preparing devices (equal frequency rows),
+properties are classes of ideal registering devices (equal extensions
+across labs), and the certainly-true / certainly-yes domains are the
+dual maps of extension inclusion.  build_lecce_sps reads them off the
+validated rows, where inclusion in every lab is a frequency of 1.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from math import lcm
 from typing import NamedTuple
 
 from .lattice import NotALattice, build_lattice
@@ -84,58 +85,69 @@ class WorldValidation:
 def _tally(w):
     """Read each lab's roster once and check the frequencies across labs.
 
-    Returns (preps, yes, rows, validation).  The first three are keyed by
-    lab: the extension of every preparer, the yes-extension of every
-    register (frozensets of object names), and every preparer's frequency
-    row over w.registerers.  Objects with the same preparer and the same
-    outcomes tuple (by identity) form one group, counted once per
-    yes-register.  Each distinct (count, size) is one Fraction shared by
-    every lab, so equal rows compare by identity, and only rows that
-    differ are compared cell by cell.
+    Returns (preps, yes, rows, whole, validation).  preps and yes are keyed
+    by lab: the extension of every preparer and the yes-extension of every
+    ideal register (frozensets of object names).  rows holds every
+    preparer's frequency row over w.registerers in the reference lab
+    w.labs[0], as numerators over the common denominator `whole`, so equal
+    rows are equal tuples of ints and a frequency of 1 reads `whole`.
+
+    One pass over a roster groups its objects by preparer and outcomes
+    tuple (by identity); the rest is per group.  Labs are compared by
+    their integer counts, and Fractions are made only for the cells that
+    differ.
     """
-    index = {r: j for j, r in enumerate(w.registerers)}
+    regs = w.registerers
+    index = {r: j for j, r in enumerate(regs)}
+    ideal = [(j, r) for j, r in enumerate(regs) if r in w.ideal]
     answered = {}  # id(outcomes) -> indices of the registers it answers yes
     preps, yes, sizes, counts = {}, {}, {}, {}
     for lab in w.labs:
-        groups = {}  # (preparer, id(outcomes)) -> object names
-        for name, pi, outcomes in w.objects[lab]:
-            names = groups.get((pi, id(outcomes)))
-            if names is None:
-                names = groups[pi, id(outcomes)] = []
-                if id(outcomes) not in answered:
-                    answered[id(outcomes)] = [index[r] for r, a in outcomes if a and r in index]
-            names.append(name)
-        by_prep, by_reg = defaultdict(list), [[] for _ in w.registerers]
-        count = counts[lab] = defaultdict(lambda: [0] * len(w.registerers))
-        for (pi, key), names in groups.items():
+        groups = defaultdict(list)  # (preparer, id(outcomes)) -> the rows sharing both
+        for row in w.objects[lab]:
+            groups[row[1], id(row[2])].append(row)
+        by_prep, by_reg = defaultdict(list), [[] for _ in regs]
+        count = counts[lab] = defaultdict(lambda: [0] * len(regs))
+        for (pi, key), group in groups.items():
+            js = answered.get(key)
+            if js is None:
+                js = answered[key] = [index[r] for r, a in group[0][2] if a and r in index]
+            names = [row[0] for row in group]
             by_prep[pi] += names
             yes_count = count[pi]
-            for j in answered[key]:
+            for j in js:
                 by_reg[j] += names
                 yes_count[j] += len(names)
         preps[lab] = {pi: frozenset(by_prep[pi]) for pi in w.preparers}
         sizes[lab] = {pi: len(by_prep[pi]) for pi in w.preparers}
-        yes[lab] = {r: frozenset(names) for r, names in zip(w.registerers, by_reg)}
+        yes[lab] = {r: frozenset(by_reg[j]) for j, r in ideal}
     empty = [(pi, lab) for pi in w.preparers for lab in w.labs if not preps[lab][pi]]
-    if empty and w.registerers:
+    if empty and regs:
         raise LecceError("preparer {} has empty extension in lab {}".format(*empty[0]))
-    frequency = cache(Fraction)  # one Fraction per distinct (count, size), shared by every lab
-    rows = {lab: {pi: tuple([frequency(c, sizes[lab][pi]) for c in counts[lab][pi]])
-                  for pi in w.preparers} for lab in w.labs}
+
+    def frequencies(lab, pi):
+        return [Fraction(c, sizes[lab][pi]) for c in counts[lab][pi]]
+
     ref = w.labs[0]
     violations = []
     for pi in w.preparers:
-        first = rows[ref][pi]
-        differ = [lab for lab in w.labs[1:] if rows[lab][pi] != first]
-        violations += [(pi, r, ref, lab, first[j], rows[lab][pi][j])
-                       for j, r in enumerate(w.registerers) for lab in differ
-                       if rows[lab][pi][j] != first[j]]
-    return preps, yes, rows, WorldValidation(ok=not violations, violations=tuple(violations))
+        differ = [lab for lab in w.labs[1:]
+                  if (sizes[lab][pi], counts[lab][pi]) != (sizes[ref][pi], counts[ref][pi])]
+        if differ:
+            first, other = frequencies(ref, pi), {lab: frequencies(lab, pi) for lab in differ}
+            violations += [(pi, r, ref, lab, first[j], other[lab][j])
+                           for j, r in enumerate(regs) for lab in differ
+                           if other[lab][j] != first[j]]
+    whole = lcm(*sizes[ref].values())
+    rows = {pi: tuple([c * (whole // sizes[ref][pi]) for c in counts[ref][pi]])
+            for pi in w.preparers}
+    return preps, yes, rows, whole, WorldValidation(ok=not violations,
+                                                    violations=tuple(violations))
 
 
 def validate_world(w):
     """Cross-lab check: each (preparer, register) frequency must agree everywhere."""
-    return _tally(w)[3]
+    return _tally(w)[-1]
 
 
 def _valid_tally(w):
@@ -145,10 +157,10 @@ def _valid_tally(w):
     return tally
 
 
-def _states(w, preps, yes, rows):
+def _states(w, preps, yes, rows, whole):
     groups = {}
     for pi in w.preparers:
-        groups.setdefault(rows[w.labs[0]][pi], []).append(pi)
+        groups.setdefault(rows[pi], []).append(pi)
     return [OperationalState(id=i, member_devices=frozenset(members), extensions={
                 lab: frozenset().union(*(preps[lab][pi] for pi in members)) for lab in w.labs})
             for i, members in enumerate(sorted(groups.values()))]
@@ -159,7 +171,7 @@ def partition_states(w):
     return _states(w, *_valid_tally(w))
 
 
-def _effects(w, preps, yes, rows):
+def _effects(w, preps, yes, rows, whole):
     ideal = [r for r in w.registerers if r in w.ideal]
     ext_key = {r: tuple(yes[lab][r] for lab in w.labs) for r in ideal}
     groups = {}
@@ -169,7 +181,7 @@ def _effects(w, preps, yes, rows):
                                  extensions={lab: yes[lab][members[0]] for lab in w.labs})
              for i, members in enumerate(sorted(groups.values()))]
     # validated labs agree, so the reference lab's columns decide frequency equivalence
-    column = {r: tuple(rows[w.labs[0]][pi][j] for pi in w.preparers)
+    column = {r: tuple(rows[pi][j] for pi in w.preparers)
               for j, r in enumerate(w.registerers) if r in w.ideal}
     return props, tuple((r1, r2) for i, r1 in enumerate(ideal) for r2 in ideal[i + 1:]
                         if column[r1] == column[r2] and ext_key[r1] != ext_key[r2])
@@ -196,6 +208,21 @@ def certainly_domains(states, properties, labs):
     e_t = {S.id: frozenset(E.id for E in properties if (S.id, E.id) in included) for S in states}
     s_y = {E.id: frozenset(S.id for S in states if (S.id, E.id) in included) for E in properties}
     return e_t, s_y
+
+
+def _certainly_yes(w, states, props, rows, whole):
+    """certainly_domains' certainly-yes map, read off the validated rows.
+
+    A state's extension lies inside a property's in every lab exactly when
+    its preparers answer yes to the property's registers with frequency 1:
+    validated labs share their frequencies, and no preparer's extension is
+    empty.  Members of one class share their row (or column), so any
+    member stands for its class.
+    """
+    index = {r: j for j, r in enumerate(w.registerers)}
+    row = {S.id: rows[min(S.member_devices)] for S in states}
+    return {E.id: frozenset(S.id for S in states if row[S.id][j] == whole)
+            for E in props for j in [index[min(E.member_devices)]]}
 
 
 def check_partition_property(w, states):
@@ -239,7 +266,7 @@ def build_lecce_sps(w):
     props, freq_only = _effects(w, *tally)
     if freq_only:
         report.append(f"frequency-equivalent but extension-distinct pairs: {freq_only}")
-    _, s_y = certainly_domains(states, props, w.labs)
+    s_y = _certainly_yes(w, states, props, *tally[2:])
 
     all_ids = frozenset(S.id for S in states)
     classes = {}

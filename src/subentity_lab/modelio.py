@@ -6,6 +6,14 @@ bare reals are permitted.  Matrix names carry roles, checked on parse by
 the `hilbert` carrier types under their tolerances.  Canonical
 serialization sorts sections, formats floats with 17 significant digits,
 and is a fixpoint: parse(serialize(doc)) == doc.
+
+The parser works on whole sections, not line by line.  It finds the
+headers by searching for '[' and cuts the rows between two headers out
+at once.  A lab's rows are checked column by column (object names,
+preparers, each distinct outcome text once) and a matrix's entries by
+one grammar match.  A row-by-row scan runs only when a check fails, to
+name the first bad row, so every error is the one a line-by-line parser
+reports.
 """
 
 from __future__ import annotations
@@ -14,6 +22,8 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import chain, count, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -73,10 +83,14 @@ class ModelDocument:
 # ---------------------------------------------------------------------------
 # lexing helpers
 
-_COMPLEX_RE = re.compile(
-    r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"(?:\s*([+-])\s*((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*i)?\s*$"
-)
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_COMPLEX_RE = re.compile(rf"^\s*([+-]?{_NUMBER})(?:\s*([+-])\s*({_NUMBER})\s*i)?\s*$")
+# entries joined by single spaces, each one that parse_complex accepts
+_ENTRY = rf"[+-]?{_NUMBER}(?:[+-]{_NUMBER}i)?"
+_ENTRIES_RE = re.compile(rf"{_ENTRY}(?: {_ENTRY})*")
+
+
+_COMMENT_RE = re.compile(r"#[^\n]*")
 
 
 def parse_complex(token):
@@ -115,32 +129,56 @@ def _field_col(line, k):
 # parsing
 
 
+def _rows(chunk, first):
+    """(lineno, row) for each line of chunk with text left once its comment
+    and trailing whitespace are cut, and the number of lines in chunk.
+
+    The chunk's first line is line `first` of the file.  The lines are cut
+    by C-level calls, with no Python step per line.
+    """
+    if "#" in chunk:
+        chunk = _COMMENT_RE.sub("", chunk)
+    lines = chunk.split("\n")
+    return list(filter(itemgetter(1), zip(count(first), map(str.rstrip, lines)))), len(lines)
+
+
 def _split_sections(text):
     """Return [(header_tokens, [(lineno, row)])] per section, in file order.
 
     A row loses its comment and trailing whitespace but keeps its indent,
-    so a column found in it counts from the start of the file line.
+    so a column found in it counts from the start of the file line.  A
+    header is a line whose first non-blank character is '['; the search
+    for '[' visits each line at most once, and the rows between two
+    headers are cut out together.
     """
+    heads = []  # (start, end) offsets of each header line
+    i = text.find("[")
+    while i != -1:
+        start = text.rfind("\n", 0, i) + 1
+        end = text.find("\n", i)
+        if end == -1:
+            end = len(text)
+        if not text[start:i].strip():
+            heads.append((start, end))
+        i = text.find("[", end)
+    starts = [start for start, _ in heads] + [len(text)]
+    stray, lineno = _rows(text[:starts[0]], 1)
+    if stray:
+        n, row = stray[0]
+        raise ModelSyntaxError(n, len(row) - len(row.lstrip()) + 1,
+                               "a section header before content")
     sections = []
-    current = None
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        row = raw.partition("#")[0].rstrip()
+    for (start, end), stop in zip(heads, starts[1:]):
+        row = text[start:end].partition("#")[0].rstrip()
         line = row.lstrip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ModelSyntaxError(lineno, len(row), "closing ']' on section header")
-            tokens = line[1:-1].split()
-            if not tokens:
-                raise ModelSyntaxError(lineno, len(row) - len(line) + 2, "section name")
-            current = (tokens, [])
-            sections.append(current)
-        else:
-            if current is None:
-                raise ModelSyntaxError(lineno, len(row) - len(line) + 1,
-                                      "a section header before content")
-            current[1].append((lineno, row))
+        if not line.endswith("]"):
+            raise ModelSyntaxError(lineno, len(row), "closing ']' on section header")
+        tokens = line[1:-1].split()
+        if not tokens:
+            raise ModelSyntaxError(lineno, len(row) - len(line) + 2, "section name")
+        rows, n = _rows(text[end + 1:stop], lineno + 1)
+        sections.append((tokens, rows))
+        lineno += n
     return sections
 
 
@@ -264,17 +302,14 @@ def _parse_hilbert_body(doc, by_name):
             raise ModelSchemaError(" ".join(key), "duplicate matrix name")
         if len(lines) != rows:
             raise ModelSchemaError(" ".join(key), f"expected {rows} rows, got {len(lines)}")
-        M = np.zeros((rows, cols), dtype=complex)
-        for i, (lineno, line) in enumerate(lines):
-            entries = line.split()
-            if len(entries) != cols:
-                raise ModelSyntaxError(lineno, _field_col(line, 0), f"{cols} complex entries")
-            for j, tok in enumerate(entries):
-                try:
-                    M[i, j] = parse_complex(tok)
-                except ValueError:
-                    raise ModelSyntaxError(lineno, _field_col(line, j), "a complex literal")
-        matrices[name] = M
+        grid = [line.split() for _, line in lines]
+        flat = " ".join(chain.from_iterable(grid))
+        if any(len(entries) != cols for entries in grid) or not _ENTRIES_RE.fullmatch(flat):
+            raise _matrix_row_fault(lines, cols)
+        # once the grammar has passed every entry, complex() reads each exactly as
+        # parse_complex would: the same correctly rounded parts, with 'i' as 'j'
+        values = map(complex, flat.replace("i", "j").split(" "))
+        matrices[name] = np.array(list(values), dtype=complex).reshape(rows, cols)
     if not matrices:
         raise ModelSchemaError("matrix", "hilbert document needs at least one matrix")
     for name, M in matrices.items():
@@ -283,6 +318,19 @@ def _parse_hilbert_body(doc, by_name):
             _check_dims(name, M, dims)
     doc.body["dims"] = dims
     doc.body["matrices"] = matrices
+
+
+def _matrix_row_fault(lines, cols):
+    """The error of a matrix's first bad row: its entry count, then each entry in order."""
+    for lineno, line in lines:
+        entries = line.split()
+        if len(entries) != cols:
+            return ModelSyntaxError(lineno, _field_col(line, 0), f"{cols} complex entries")
+        for j, tok in enumerate(entries):
+            try:
+                parse_complex(tok)
+            except ValueError:
+                return ModelSyntaxError(lineno, _field_col(line, j), "a complex literal")
 
 
 def _validate_matrix_role(name, M):
@@ -364,39 +412,22 @@ def _parse_labworld_body(doc, by_name):
             raise ModelSchemaError(" ".join(key), "header must be [lab NAME]")
         lab = key[1]
         labs.append(lab)
-        rows = []
-        seen = set()
-        used = present[lab] = set()
-        for lineno, line in lines:
-            parts = line.split(None, 2)
-            # every known text answers a register, so "" always takes the field-count check
-            text = parts[2] if len(parts) == 3 else ""
-            outcomes = known.get(text)
-            if outcomes is None:
-                toks = text.split()
-                if len(toks) != len(regs):
-                    raise ModelSyntaxError(lineno, _field_col(line, 0),
-                                           f"object, preparer, and {len(regs)} outcome assignments")
-            obj, prep = parts[0], parts[1]
-            if obj in seen:
-                raise ModelSchemaError(f"lab {lab}", f"object {obj} listed twice")
-            seen.add(obj)
-            if prep not in prep_set:
-                raise ModelSchemaError(f"lab {lab}", f"unknown preparer {prep}")
-            used.add(prep)
-            if outcomes is None:
-                outcomes = [None] * len(regs)  # registerer order, the order serialize_model writes
-                for j, tok in enumerate(toks):
-                    hit = tokens.get(tok)
-                    if hit is None:
-                        raise ModelSyntaxError(lineno, _field_col(line, 2 + j), "REGISTER=yes|no")
-                    outcomes[hit[0]] = hit[1]
-                if None in outcomes:  # as many tokens as registers, so one was answered twice
-                    raise ModelSchemaError(f"lab {lab}",
-                                           f"object {obj} must answer every register once")
-                outcomes = known[text] = tuple(outcomes)
-            rows.append(LabObject(obj, prep, outcomes))
-        objects[lab] = tuple(rows)
+        # the rows are checked column by column, and scanned row by row only to name a fault
+        columns = list(zip(*[line.split(None, 2) for _, line in lines])) or [(), (), ()]
+        if len(columns) < 3:  # some row has fewer than three fields
+            raise _lab_row_fault(lab, lines, tokens, len(regs), prep_set)
+        names, used, texts = columns
+        present[lab] = set(used)
+        if len(set(names)) < len(names) or not present[lab] <= prep_set:
+            raise _lab_row_fault(lab, lines, tokens, len(regs), prep_set)
+        for text in set(texts).difference(known):
+            outcomes = _outcomes(text, tokens, len(regs))
+            if not isinstance(outcomes, tuple):
+                raise _lab_row_fault(lab, lines, tokens, len(regs), prep_set)
+            known[text] = outcomes
+        # tuple.__new__ builds each LabObject without the named tuple's Python __new__
+        objects[lab] = tuple(map(tuple.__new__, repeat(LabObject),
+                                 zip(names, used, map(known.__getitem__, texts))))
     if not labs:
         raise ModelSchemaError("lab", "labworld document needs at least one [lab] section")
     for lab in labs:
@@ -406,6 +437,51 @@ def _parse_labworld_body(doc, by_name):
     doc.body["world"] = LabWorld(
         labs=tuple(sorted(labs)), preparers=tuple(preps), registerers=tuple(regs),
         ideal=frozenset(ideal), objects=objects)
+
+
+def _outcomes(text, tokens, width):
+    """The outcomes tuple of a row's outcome text, in registerer order, or its fault.
+
+    The fault is "count" (not one token per register), the index of the
+    first token that is no REGISTER=yes|no, or "twice" (a register
+    answered twice, so another not at all).
+    """
+    toks = text.split()
+    if len(toks) != width:
+        return "count"
+    outcomes = [None] * width  # registerer order, the order serialize_model writes
+    for j, tok in enumerate(toks):
+        hit = tokens.get(tok)
+        if hit is None:
+            return j
+        outcomes[hit[0]] = hit[1]
+    return "twice" if None in outcomes else tuple(outcomes)
+
+
+def _lab_row_fault(lab, lines, tokens, width, prep_set):
+    """The error of a lab's first bad row, its checks in the order a row meets them.
+
+    The order is field count, object listed twice, unknown preparer, bad
+    token, register answered twice.
+    """
+    seen = set()
+    for lineno, line in lines:
+        parts = line.split(None, 2)
+        # every outcome text answers a register, so "" always has the wrong count
+        fault = _outcomes(parts[2] if len(parts) == 3 else "", tokens, width)
+        if fault == "count":
+            return ModelSyntaxError(lineno, _field_col(line, 0),
+                                    f"object, preparer, and {width} outcome assignments")
+        obj, prep = parts[0], parts[1]
+        if obj in seen:
+            return ModelSchemaError(f"lab {lab}", f"object {obj} listed twice")
+        seen.add(obj)
+        if prep not in prep_set:
+            return ModelSchemaError(f"lab {lab}", f"unknown preparer {prep}")
+        if fault == "twice":
+            return ModelSchemaError(f"lab {lab}", f"object {obj} must answer every register once")
+        if not isinstance(fault, tuple):
+            return ModelSyntaxError(lineno, _field_col(line, 2 + fault), "REGISTER=yes|no")
 
 
 # ---------------------------------------------------------------------------

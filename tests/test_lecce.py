@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subentity_lab import lecce
 from subentity_lab.lecce import (
     LabObject,
     LabWorld,
@@ -64,6 +65,14 @@ def test_mismatch_world_flagged():
     with pytest.raises(WorldInvalid) as exc:
         build_lecce_sps(w)
     assert exc.value.validation == val
+
+
+def test_equal_counts_over_different_sizes_are_a_violation():
+    # p answers r yes once in each lab, out of one object in j and two in k
+    rows = {"j": [("x", "p", {"r": True})],
+            "k": [("y", "p", {"r": True}), ("z", "p", {"r": False})]}
+    w = make_world(["j", "k"], ["p"], ["r"], ["r"], rows)
+    assert validate_world(w).violations == (("p", "r", "j", "k", Fraction(1), Fraction(1, 2)),)
 
 
 # --- partitions -----------------------------------------------------------
@@ -400,6 +409,30 @@ def test_lecce_against_oracle(w):
         assert outcome(oracle_validate, w)[0] is LecceError
     else:
         check_against_oracle(parsed)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(lab_worlds())
+def test_certainty_read_off_the_rows_is_extension_inclusion(w):
+    try:
+        states, (props, _) = oracle_states(w), oracle_effects(w)
+    except LecceError:
+        return
+    # the definition: a state is certain for a property when its extension
+    # lies inside the property's in every lab
+    certain = {E: frozenset(S for S, _, s_ext in states
+                            if all(s_ext[lab] <= e_ext[lab] for lab in w.labs))
+               for E, _, e_ext in props}
+    build = build_lecce_sps(w)
+    e_t, s_y = certainly_domains(build.states, build.properties, w.labs)
+    assert s_y == certain
+    assert e_t == {S: frozenset(E for E in certain if S in certain[E]) for S, _, _ in states}
+    tally = lecce._valid_tally(w)
+    assert lecce._certainly_yes(w, build.states, build.properties, *tally[2:]) == certain
+    if build.sps is not None:  # each property's class is actual in exactly its certain states
+        for k, members in enumerate(build.property_classes):
+            for E in members:
+                assert certain[E] == {S.id for S in build.states if k in build.sps.xi[S.id]}
 
 
 @pytest.mark.parametrize("skewed", [False, True])

@@ -57,6 +57,52 @@ def test_parse_complex_rejects(token):
         parse_complex(token)
 
 
+# complex() reads each of these, once 'i' is written 'j' where it is the
+# imaginary unit; the grammar refuses them all, in parse_complex and in a matrix
+COMPLEX_ONLY = ["2i", "-i", "1+i", "inf", "nan", "1_0", "(1+2j)", "1e5j"]
+
+
+@pytest.mark.parametrize("token", COMPLEX_ONLY)
+def test_matrix_entries_refuse_what_only_complex_reads(token):
+    complex(token if token in ("inf", "nan") else token.replace("i", "j"))
+    with pytest.raises(ValueError):
+        parse_complex(token)
+    with pytest.raises(ModelSyntaxError) as exc:
+        parse_model(MATRIX_HEAD + f"1 {token}\n")
+    assert str(exc.value) == "line 5, col 3: expected a complex literal"
+
+
+# the grammar's \d and float() both read every digit of Unicode category Nd
+DIGITS = st.sampled_from("0123456789\u0661\uff15\u096a")
+
+
+@st.composite
+def grammar_entries(draw):
+    """Matrix entries the grammar accepts: a real part and an optional imaginary one."""
+    def number():
+        whole, frac = (draw(st.text(DIGITS, min_size=1, max_size=4)) for _ in range(2))
+        mantissa = draw(st.sampled_from([whole, whole + ".", whole + "." + frac, "." + frac]))
+        exp = draw(st.sampled_from(["", "e", "E", "e+", "e-"]))
+        return mantissa + (exp + draw(st.text(DIGITS, min_size=1, max_size=2)) if exp else "")
+
+    entry = draw(st.sampled_from(["", "+", "-"])) + number()
+    if draw(st.booleans()):
+        entry += draw(st.sampled_from("+-")) + number() + "i"
+    return entry
+
+
+ENTRIES = grammar_entries()
+
+
+@given(st.lists(ENTRIES, min_size=1, max_size=12))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_matrix_entries_read_exactly_as_parse_complex(entries):
+    doc = parse_model(f"[meta]\nkind = hilbert\n\n[matrix M 1 {len(entries)}]\n"
+                      + " ".join(entries) + "\n")
+    want = np.array([[parse_complex(tok) for tok in entries]])
+    assert doc.body["matrices"]["M"].tobytes() == want.tobytes()  # bit for bit, signed zeros too
+
+
 def test_format_parse_complex_exact():
     rng = random.Random(0)
     for _ in range(500):
@@ -461,6 +507,165 @@ def test_labworld_parser_matches_per_token_oracle(text):
         data = serialize_model(got)
         assert parse_model(data) == got
         assert serialize_model(parse_model(data)) == data
+
+
+# --- whole documents against the line-by-line parser ------------------------
+
+
+def _line_by_line_split_sections(text):
+    """The line-by-line splitter the section search replaced, kept as its oracle."""
+    sections = []
+    current = None
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        row = raw.partition("#")[0].rstrip()
+        line = row.lstrip()
+        if not line:
+            continue
+        if line.startswith("["):
+            if not line.endswith("]"):
+                raise ModelSyntaxError(lineno, len(row), "closing ']' on section header")
+            tokens = line[1:-1].split()
+            if not tokens:
+                raise ModelSyntaxError(lineno, len(row) - len(line) + 2, "section name")
+            current = (tokens, [])
+            sections.append(current)
+        else:
+            if current is None:
+                raise ModelSyntaxError(lineno, len(row) - len(line) + 1,
+                                       "a section header before content")
+            current[1].append((lineno, row))
+    return sections
+
+
+def _per_entry_hilbert_body(doc, by_name):
+    """The per-entry matrix reader the grammar match replaced, kept as its oracle."""
+    dims = None
+    dim_lines = by_name.pop(("dims",), None)
+    if dim_lines is not None:
+        if len(dim_lines) != 1 or len(dim_lines[0][1].split()) != 2:
+            raise ModelSchemaError("dims", "one line with two factor dimensions")
+        a, b = dim_lines[0][1].split()
+        if not (a.isdigit() and b.isdigit()) or int(a) < 1 or int(b) < 1:
+            raise ModelSchemaError("dims", "factor dimensions must be positive integers")
+        dims = (int(a), int(b))
+    matrices = {}
+    for key in [k for k in by_name if k and k[0] == "matrix"]:
+        lines = by_name.pop(key)
+        if (len(key) != 4 or not (key[2].isdigit() and key[3].isdigit())
+                or int(key[2]) < 1 or int(key[3]) < 1):
+            raise ModelSchemaError(" ".join(key), "header must be [matrix NAME ROWS COLS], "
+                                                  "ROWS and COLS at least 1")
+        name, rows, cols = key[1], int(key[2]), int(key[3])
+        if name in matrices:
+            raise ModelSchemaError(" ".join(key), "duplicate matrix name")
+        if len(lines) != rows:
+            raise ModelSchemaError(" ".join(key), f"expected {rows} rows, got {len(lines)}")
+        M = np.zeros((rows, cols), dtype=complex)
+        for i, (lineno, line) in enumerate(lines):
+            entries = line.split()
+            if len(entries) != cols:
+                raise ModelSyntaxError(lineno, modelio._field_col(line, 0),
+                                       f"{cols} complex entries")
+            for j, tok in enumerate(entries):
+                try:
+                    M[i, j] = parse_complex(tok)
+                except ValueError:
+                    raise ModelSyntaxError(lineno, modelio._field_col(line, j), "a complex literal")
+        matrices[name] = M
+    if not matrices:
+        raise ModelSchemaError("matrix", "hilbert document needs at least one matrix")
+    for name, M in matrices.items():
+        modelio._validate_matrix_role(name, M)
+        if dims is not None:
+            modelio._check_dims(name, M, dims)
+    doc.body["dims"] = dims
+    doc.body["matrices"] = matrices
+
+
+BLANKS = " \t\x0b\u3000"  # besides the line's own '\r', when lines end in "\r\n"
+
+
+@st.composite
+def model_sections(draw):
+    """(header fields, rows as field lists) of a document of any kind, mostly well formed."""
+    kind = draw(st.sampled_from(["lattice", "sps", "hilbert", "labworld"]))
+    name = draw(st.sampled_from(["d", "a[1]", "x]y"]))  # brackets inside a row are no header
+    sections = [(["meta"], [["kind", "=", kind], ["name", "=", name]])]
+    if kind in ("lattice", "sps"):
+        size = draw(st.integers(1, 4))
+        pairs = draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)),
+                              max_size=4))
+        sections += [(["lattice"], [["size", "=", str(size)]]),
+                     (["order"], [[str(a), str(b)] for a, b in pairs])]
+        if kind == "sps":
+            rows = draw(st.lists(st.lists(st.sampled_from("01"), min_size=size, max_size=size),
+                                 max_size=3))
+            sections += [(["states"], [["count", "=", str(draw(st.integers(0, 3)))]]),
+                         (["actuality"], rows)]
+    if kind == "hilbert":
+        if draw(st.booleans()):
+            sections.append((["dims"], [["1", str(draw(st.integers(1, 2)))]]))
+        entry = st.integers(0, 19).flatmap(  # one entry in 20 is refused or overflows
+            lambda k: ENTRIES if k else st.sampled_from(COMPLEX_ONLY + ["1e999"]))
+        for mat in draw(st.lists(st.sampled_from(["M", "N"]), min_size=1, max_size=2,
+                                 unique=True)):
+            r, c = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+            sections.append((["matrix", mat, str(r), str(c)],
+                             [draw(st.lists(entry, min_size=c, max_size=c)) for _ in range(r)]))
+        if draw(st.booleans()):  # a role the hilbert carriers check
+            sections.append((["matrix", "psi", "2", "1"], [["0"], [draw(st.sampled_from(
+                ["0+1i", "-1", ".6+.8i", "2"]))]]))
+    if kind == "labworld":
+        sections.append((["devices"], [["prep", "P", "Q"], ["reg", "A", "B"]]))
+        answers = st.sampled_from(["A=yes B=no", "A=no B=no", "B=yes A=yes"])
+        for lab in range(draw(st.integers(1, 2))):
+            rows = [[f"o{k}", "PQ"[k % 2]] + draw(answers).split() for k in range(4)]
+            if draw(st.booleans()):
+                k = draw(st.integers(0, 3))
+                rows[k] = draw(st.sampled_from(CORRUPTIONS))(rows[k])
+            sections.append(([f"lab", f"L{lab}"], rows))
+    return sections
+
+
+@st.composite
+def model_documents(draw):
+    """Documents of every kind under comments, odd blanks, indents and stray lines."""
+    blank = st.text(st.sampled_from(BLANKS), max_size=2)
+    sep = st.text(st.sampled_from(BLANKS), min_size=1, max_size=2)
+    comment = st.sampled_from(["", "", " # note", "# [x]", "\t#"])
+
+    def line(fields):
+        return draw(blank) + "".join(f + draw(sep) for f in fields).rstrip(BLANKS) \
+            + draw(blank) + draw(comment)
+
+    sections = draw(model_sections())
+    fault = draw(st.sampled_from([None] * 5 + ["stray", "empty", "unclosed"]))
+    where = draw(st.integers(0, len(sections) - 1))  # the header an empty or unclosed one replaces
+    lines = [line(["stray"])] if fault == "stray" else []  # content before the first header
+    for i, (header, rows) in enumerate(sections):
+        if i == where and fault == "empty":
+            header = []
+        closing = "" if i == where and fault == "unclosed" else "]"
+        lines.append(draw(blank) + "[" + draw(blank) + " ".join(header) + draw(blank) + closing
+                     + draw(blank) + draw(comment))
+        for row in rows:
+            lines += draw(st.lists(st.sampled_from(["", "#", draw(blank)]), max_size=1))
+            lines.append(line(row))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@given(model_documents())
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_documents_match_the_line_by_line_parser(text):
+    got = _outcome_or_error(text)
+    with mock.patch.multiple(modelio, _split_sections=_line_by_line_split_sections,
+                             _parse_hilbert_body=_per_entry_hilbert_body,
+                             _parse_labworld_body=_per_token_labworld_body):
+        want = _outcome_or_error(text)
+    assert got == want
+    if isinstance(got, ModelDocument):
+        assert serialize_model(got) == serialize_model(want)
 
 
 # --- fuzzing --------------------------------------------------------------
