@@ -100,7 +100,8 @@ def _tally(w):
     regs = w.registerers
     index = {r: j for j, r in enumerate(regs)}
     ideal = [(j, r) for j, r in enumerate(regs) if r in w.ideal]
-    answered = {}  # id(outcomes) -> indices of the registers it answers yes
+    is_ideal = [r in w.ideal for r in regs]
+    answered = {}  # id(outcomes) -> indices of the registers it answers yes, and the ideal ones
     preps, yes, sizes, counts = {}, {}, {}, {}
     for lab in w.labs:
         groups = defaultdict(list)  # (preparer, id(outcomes)) -> the rows sharing both
@@ -109,15 +110,17 @@ def _tally(w):
         by_prep, by_reg = defaultdict(list), [[] for _ in regs]
         count = counts[lab] = defaultdict(lambda: [0] * len(regs))
         for (pi, key), group in groups.items():
-            js = answered.get(key)
-            if js is None:
-                js = answered[key] = [index[r] for r, a in group[0][2] if a and r in index]
+            if key not in answered:
+                js = [index[r] for r, a in group[0][2] if a and r in index]
+                answered[key] = js, [j for j in js if is_ideal[j]]
+            js, ideal_js = answered[key]
             names = [row[0] for row in group]
             by_prep[pi] += names
             yes_count = count[pi]
             for j in js:
-                by_reg[j] += names
                 yes_count[j] += len(names)
+            for j in ideal_js:
+                by_reg[j] += names
         preps[lab] = {pi: frozenset(by_prep[pi]) for pi in w.preparers}
         sizes[lab] = {pi: len(by_prep[pi]) for pi in w.preparers}
         yes[lab] = {r: frozenset(by_reg[j]) for j, r in ideal}
@@ -157,7 +160,7 @@ def _valid_tally(w):
     return tally
 
 
-def _states(w, preps, yes, rows, whole):
+def _states(w, preps, yes, rows):
     groups = {}
     for pi in w.preparers:
         groups.setdefault(rows[pi], []).append(pi)
@@ -168,10 +171,10 @@ def _states(w, preps, yes, rows, whole):
 
 def partition_states(w):
     """Group preparing devices by equality of their full frequency row."""
-    return _states(w, *_valid_tally(w))
+    return _states(w, *_valid_tally(w)[:3])
 
 
-def _effects(w, preps, yes, rows, whole):
+def _effects(w, preps, yes, rows):
     ideal = [r for r in w.registerers if r in w.ideal]
     ext_key = {r: tuple(yes[lab][r] for lab in w.labs) for r in ideal}
     groups = {}
@@ -194,7 +197,7 @@ def partition_effects(w):
     preparer yet have distinct extensions (the converse implication that
     does not hold a priori).
     """
-    return _effects(w, *_valid_tally(w))
+    return _effects(w, *_valid_tally(w)[:3])
 
 
 def certainly_domains(states, properties, labs):
@@ -262,8 +265,8 @@ def build_lecce_sps(w):
     """
     report = []
     tally = _valid_tally(w)
-    states = _states(w, *tally)
-    props, freq_only = _effects(w, *tally)
+    states = _states(w, *tally[:3])
+    props, freq_only = _effects(w, *tally[:3])
     if freq_only:
         report.append(f"frequency-equivalent but extension-distinct pairs: {freq_only}")
     s_y = _certainly_yes(w, states, props, *tally[2:])

@@ -11,9 +11,10 @@ The parser works on whole sections, not line by line.  It finds the
 headers by searching for '[' and cuts the rows between two headers out
 at once.  A lab's rows are checked column by column (object names,
 preparers, each distinct outcome text once) and a matrix's entries by
-one grammar match.  A row-by-row scan runs only when a check fails, to
-name the first bad row, so every error is the one a line-by-line parser
-reports.
+one grammar match; the grammar reads each entry in one way only, so a
+match that fails costs about as much as one that succeeds.  A
+row-by-row scan runs only when a check fails, to name the first bad
+row, so every error is the one a line-by-line parser reports.
 """
 
 from __future__ import annotations
@@ -83,7 +84,10 @@ class ModelDocument:
 # ---------------------------------------------------------------------------
 # lexing helpers
 
-_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# each number matches in one way only: with an ambiguous mantissa such as
+# \d+\.?\d*, a failed match of a whole matrix would retry every split of
+# every earlier entry, exponential in the number of entries
+_NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = re.compile(rf"^\s*([+-]?{_NUMBER})(?:\s*([+-])\s*({_NUMBER})\s*i)?\s*$")
 # entries joined by single spaces, each one that parse_complex accepts
 _ENTRY = rf"[+-]?{_NUMBER}(?:[+-]{_NUMBER}i)?"

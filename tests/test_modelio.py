@@ -3,6 +3,7 @@ import json
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -70,6 +71,28 @@ def test_matrix_entries_refuse_what_only_complex_reads(token):
     with pytest.raises(ModelSyntaxError) as exc:
         parse_model(MATRIX_HEAD + f"1 {token}\n")
     assert str(exc.value) == "line 5, col 3: expected a complex literal"
+
+
+@pytest.mark.parametrize("bad", ["1x", "2i", "1e5j"])
+def test_bad_last_entry_of_large_matrix_fails_promptly(bad):
+    # each "10" could split as "1"+"0" under an ambiguous mantissa, and a failed
+    # whole-matrix match would retry all 2^80 splits; the alarm turns a hang into
+    # a failure (re checks for signals while it matches)
+    rows = ["10 " * 8 + "10"] * 8 + ["10 " * 8 + bad]
+    text = "[meta]\nkind = hilbert\n\n[matrix M 9 9]\n" + "\n".join(rows) + "\n"
+
+    def hang(signum, frame):
+        raise TimeoutError("matrix check backtracks")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ModelSyntaxError) as exc:
+            parse_model(text)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert str(exc.value) == "line 13, col 25: expected a complex literal"
 
 
 # the grammar's \d and float() both read every digit of Unicode category Nd
