@@ -18,7 +18,7 @@ from typing import NamedTuple
 # automorphisms and meet are not called here; they are imported because
 # perfbench/test_perfbench.py::test_tracer_patches_names_where_they_are_called
 # reads axioms.automorphisms and axioms.meet
-from .lattice import FiniteLattice, _bits, _orbits, automorphisms, meet  # noqa: F401
+from .lattice import FiniteLattice, _bits, _orbits, _swap, automorphisms, meet  # noqa: F401
 from .sps import StatePropertySystem
 
 
@@ -208,34 +208,63 @@ def check_plane_transitivity(S):
     """Every ordered atom pair needs an automorphism fixing some [0, s1 v s2].
 
     For each plane, the atoms fall into the orbits of the plane's pointwise
-    stabilizer (`_orbits`).  A pair is witnessed iff it lies in one orbit of
-    some plane.  If h fixes the plane P and maps s to t, then g h g^-1 fixes
-    g(P) and maps g(s) to g(t), so the witnessed pairs are closed under every
-    automorphism g: the check keeps each map its queries find and, after
-    each plane, closes the witnessed pairs under all of them.  The planes
-    come from unordered atom pairs, since the join is symmetric, and are
-    walked in ascending mask order.  A plane is skipped when every pair of
-    atoms outside it is witnessed already (its stabilizer fixes its own
-    atoms), and the walk stops once every pair is witnessed.  Otherwise
-    every plane is processed, so a failing lattice has the same witnessed
-    pairs, and the same counterexample, as the union over all planes.
+    stabilizer.  A pair is witnessed iff it lies in one orbit of some plane.
+    If h fixes the plane P and maps s to t, then g h g^-1 fixes g(P) and maps
+    g(s) to g(t), so the witnessed pairs are closed under every automorphism
+    g.  The planes come from unordered atom pairs, since the join is
+    symmetric.
+
+    Swaps come first.  The `_swap` of two atoms s and t, where it is an
+    automorphism, moves only the elements above exactly one of them, so it
+    fixes a plane iff no such element lies in it; one that fixes some plane
+    witnesses (s, t) and (t, s).  On the atoms it is the transposition
+    (s t), so by the conjugation above any two atoms joined by a path of
+    such swaps are witnessed too.  The swapped atoms are therefore kept as
+    components, and a pair's swap is tried only while its atoms lie in
+    different ones.  Once one component holds every atom, every pair is
+    witnessed.
+
+    Otherwise the planes are walked in ascending mask order.  A plane is
+    skipped when every pair of atoms outside it is witnessed already (its
+    stabilizer fixes its own atoms).  Any other plane's atoms are split
+    into orbits by `_orbits`; the check keeps each map found, by a swap or
+    a query, and closes the witnessed pairs under all of them.  The walk
+    stops once every pair is witnessed; on a failing lattice every plane is
+    processed, so it has the same witnessed pairs, and the same
+    counterexample, as the union over all planes.
     """
     L = S.lattice
     atoms = L.atoms
     everything = sum(1 << s for s in atoms)
     up, down, by_up = L.up, L.down, L.by_up
     planes = sorted({down[by_up[up[s1] & up[s2]]] for s1, s2 in combinations(atoms, 2)})
-    # reach[s]: mask of the atoms t with (s, t) witnessed; under any plane's
-    # stabilizer each atom is its own orbit, so (s, s) is witnessed
+    # reach[s]: mask of the atoms t with (s, t) witnessed, before the walk
+    # s's component; under any plane's stabilizer each atom is its own orbit,
+    # so (s, s) is witnessed
     reach = {s: 1 << s if planes else 0 for s in atoms}
     maps = []
-    for plane in planes:
+    # a swap of s and t can fix only a plane that both lie outside; a plane
+    # holds two atoms, and a lone plane holds them all
+    roomy = ([plane for plane in planes if (everything & ~plane).bit_count() > 1]
+             if len(atoms) > 3 and len(planes) > 1 else [])
+    for s, t in combinations(atoms, 2) if roomy else ():
+        if not reach[s] >> t & 1:  # s and t lie in different components
+            moved = up[s] ^ up[t]
+            f = _swap(L, 0, s, t) if any(not moved & plane for plane in roomy) else None
+            if f is not None:
+                maps.append(f)
+                merged = reach[s] | reach[t]
+                for x in _bits(merged):
+                    reach[x] = merged
+    closed = 0  # reach is closed under maps[:closed]
+    # one component holding every atom witnesses every pair
+    for plane in () if planes and reach[atoms[0]] == everything else planes:
         outside = everything & ~plane
         if all(reach[s] & outside == outside for s in _bits(outside)):
             continue
-        seen = len(maps)
         orbits = _orbits(L, plane, atoms, maps)
-        todo = [(g[s], g[t]) for g in maps[seen:] for s in atoms for t in _bits(reach[s])]
+        todo = [(g[s], g[t]) for g in maps[closed:] for s in atoms for t in _bits(reach[s])]
+        closed = len(maps)
         todo += ((s, t) for orbit in orbits if len(orbit) > 1 for s in orbit for t in orbit)
         while todo:
             s, t = todo.pop()
@@ -245,11 +274,12 @@ def check_plane_transitivity(S):
         if all(row == everything for row in reach.values()):
             break
     for s in atoms:
-        for t in atoms:
-            if not reach[s] >> t & 1:
-                return AxiomVerdict(
-                    "plane_transitivity", False, counterexample=(s, t),
-                    note=f"no automorphism maps atom {s} to {t} while fixing an atom-pair interval")
+        missing = everything & ~reach[s]
+        if missing:  # atoms ascend, so the first pair (s, t) unwitnessed has the least t
+            t = (missing & -missing).bit_length() - 1
+            return AxiomVerdict(
+                "plane_transitivity", False, counterexample=(s, t),
+                note=f"no automorphism maps atom {s} to {t} while fixing an atom-pair interval")
     return AxiomVerdict("plane_transitivity", True,
                         note="every ordered atom pair witnessed" if planes
                         else "vacuous: no ordered atom pairs")
@@ -282,45 +312,68 @@ def _max_orthogonal_family(L, comp):
     """Largest set of nonzero, pairwise orthogonal elements, via clique search.
 
     b and c are orthogonal iff some a has b <= a and c <= a'.  On bit rows,
-    the c with b <= a and c <= a' for some a are down[a'] over a in up[b].
-    Candidates are masks searched in ascending element order, and the c
-    orthogonal to b both ways are right[b] ANDed with its transpose.
+    the c orthogonal to b are the union of down[a'] over a in up[b], and the
+    b orthogonal to c the union of down[a] over the a with a' in up[c].  Both
+    are read in one walk over each up-set, and their intersection holds the
+    elements orthogonal to b both ways.  Candidates are masks searched in
+    ascending element order, and the first family of the largest size is
+    returned.
+
+    If no atom is orthogonal to itself, no family is larger than the
+    number of atoms: every nonzero element lies above an atom, and two
+    members above one atom x would make x orthogonal to x.  The search then
+    stops at the first family of that size.  This holds for any map comp,
+    not only for orthocomplementations.
     """
     n, up, down = L.size, L.up, L.down
-    right, left = [0] * n, [0] * n  # left: right transposed
+    image = [down[c] for c in comp]  # image[a]: down[a']
+    preimage = [0] * n  # preimage[e]: the union of down[a] over the a with a' = e
+    for a, c in enumerate(comp):
+        preimage[c] |= down[a]
+    mutual = []
     for b in range(n):
-        row, rest = 0, up[b]
+        right = left = 0
+        rest = up[b]
         while rest:
             low = rest & -rest
             rest ^= low
-            row |= down[comp[low.bit_length() - 1]]
-        right[b] = row
-        bit = 1 << b
-        while row:
-            low = row & -row
-            row ^= low
-            left[low.bit_length() - 1] |= bit
-    mutual = [r & t for r, t in zip(right, left)]
+            a = low.bit_length() - 1
+            right |= image[a]
+            left |= preimage[a]
+        mutual.append(right & left)
+    bound = n if any(mutual[x] >> x & 1 for x in L.atoms) else len(L.atoms)
     best = []
 
     def extend(current, candidates):
+        """Search the families extending current; true once one has `bound` members."""
         nonlocal best
         if len(current) > len(best):
             best = list(current)
+            if len(best) == bound:
+                return True
         for c in _bits(candidates):
             candidates &= ~(1 << c)  # leaves the candidates after c
             rest = candidates & mutual[c]
             if len(current) + 1 + rest.bit_count() > len(best):
                 current.append(c)
-                extend(current, rest)
+                if extend(current, rest):
+                    return True
                 current.pop()
+        return False
 
     extend([], ((1 << n) - 1) & ~(1 << L.bottom))
     return best
 
 
 def check_infinite_length(S, comp=None):
-    """Always fails on a finite lattice; reports the maximal orthogonal family."""
+    """Always fails on a finite lattice; reports the maximal orthogonal family.
+
+    The family is the first of the largest size in `_max_orthogonal_family`'s
+    search order.  Under an orthocomplementation no atom is orthogonal to
+    itself (x <= a and x <= a' would put x below a ^ a' = 0), so the family
+    has at most as many members as the lattice has atoms, and the search
+    stops at the first family that reaches that count.
+    """
     comp = comp if comp is not None else _require_comp(S)
     fam = _max_orthogonal_family(S.lattice, comp)
     return AxiomVerdict("infinite_length", False, counterexample=tuple(fam),

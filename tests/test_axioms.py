@@ -419,6 +419,10 @@ PLANE_DIFFERENTIAL = {
     **{f"B{k}-relabeled": relabeled(boolean(k), k) for k in (4, 5, 6)},
     **{f"MO{n}-relabeled": relabeled(mo(n), n) for n in (3, 4, 5, 6)},
     **PLANE_FAILURES,
+    "MO2xB2": product(mo(2), boolean(2)),
+    # two atoms of the B3 swap, but every plane with two atoms outside it
+    # holds one of them: that swap witnesses nothing
+    "B3+MO2": horizontal_sum(boolean(3), mo(2)),
 }
 
 
@@ -432,6 +436,15 @@ def test_plane_transitivity_against_per_plane_reference(name, monkeypatch):
     if name in PLANE_FAILURE_QUERIES:
         assert not v.passed and len(queries) == PLANE_FAILURE_QUERIES[name]
     assert (v.passed, v.counterexample, v.note) == per_plane_plane_transitivity(L)
+
+
+@pytest.mark.parametrize("k", [4, 5, 6, 7])
+def test_plane_transitivity_on_boolean_needs_no_orbits(k, monkeypatch):
+    # any two atoms of B_k, k >= 4, swap while fixing the plane of two others
+    calls, orbits = [], axioms._orbits
+    monkeypatch.setattr(axioms, "_orbits", lambda *args: calls.append(args) or orbits(*args))
+    v = check_plane_transitivity(atomic_sps(relabeled(boolean(k), k)))
+    assert v.passed and calls == []
 
 
 SWAP_CORPUS = {
@@ -553,6 +566,49 @@ def test_orthogonal_family_and_covering_law_against_loops(presentation, data):
     if comps:
         assert _max_orthogonal_family(L, comps[0]) == loop_max_orthogonal_family(L, comps[0])
     assert_orbit_search_matches_listing(L)
+
+
+def atom_disjoint_map(L, rng):
+    """A seeded map sending each a to an element that shares no atom with a,
+    so no atom is orthogonal to itself; mostly not an orthocomplementation."""
+    atoms = sum(1 << x for x in L.atoms)
+    return [rng.choice([c for c in range(L.size) if not L.down[c] & L.down[a] & atoms])
+            for a in range(L.size)]
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_orthogonal_family_against_loops_on_boolean(k):
+    # 32 and 64 elements, past the drawn lattices: the search stops at the atom
+    # bound on the orthocomplementation and on some atom-disjoint maps
+    L = relabeled(boolean(k), k)
+    comps = [orthocomplementations(L)[0]]
+    comps += [atom_disjoint_map(L, random.Random(seed)) for seed in range(6)]
+    for seed in range(3):
+        rng = random.Random(seed)
+        comps.append([rng.randrange(L.size) for _ in range(L.size)])
+    sizes = []
+    for comp in comps:
+        family = _max_orthogonal_family(L, comp)
+        assert family == loop_max_orthogonal_family(L, comp)
+        sizes.append(len(family))
+    assert sizes[0] == k and k in sizes[1:7]
+
+
+BOUND_CORPUS = {**CORPUS, **PLANE_FAILURES}
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_CORPUS))
+def test_orthogonal_family_within_atom_bound(name):
+    # two members above one atom x would make x orthogonal to itself
+    L = BOUND_CORPUS[name]
+    rng = random.Random(name)
+    comps = orthocomplementations(L)[:3] + [atom_disjoint_map(L, rng) for _ in range(3)]
+    comps += [[rng.randrange(L.size) for _ in range(L.size)] for _ in range(3)]
+    for comp in comps:
+        family = loop_max_orthogonal_family(L, comp)
+        assert _max_orthogonal_family(L, comp) == family
+        if not any(L.leq[x][a] and L.leq[x][comp[a]] for x in L.atoms for a in range(L.size)):
+            assert len(family) <= len(L.atoms)
 
 
 @pytest.mark.parametrize("L", [relabeled(mo(n), n) for n in (3, 4, 5, 6)]
