@@ -342,26 +342,25 @@ def _max_orthogonal_family(L, comp):
             left |= preimage[a]
         mutual.append(right & left)
     bound = n if any(mutual[x] >> x & 1 for x in L.atoms) else len(L.atoms)
-    best = []
-
-    def extend(current, candidates):
-        """Search the families extending current; true once one has `bound` members."""
-        nonlocal best
-        if len(current) > len(best):
-            best = list(current)
-            if len(best) == bound:
-                return True
-        for c in _bits(candidates):
-            candidates &= ~(1 << c)  # leaves the candidates after c
-            rest = candidates & mutual[c]
-            if len(current) + 1 + rest.bit_count() > len(best):
-                current.append(c)
-                if extend(current, rest):
-                    return True
-                current.pop()
-        return False
-
-    extend([], ((1 << n) - 1) & ~(1 << L.bottom))
+    # the candidates left at each depth of current, so depth costs no Python frames
+    best, current, stack = [], [], [((1 << n) - 1) & ~(1 << L.bottom)]
+    while stack:
+        candidates = stack[-1]
+        if not candidates:
+            stack.pop()
+            del current[-1:]  # the member whose candidates ran out; none at the root
+            continue
+        low = candidates & -candidates
+        c = low.bit_length() - 1
+        stack[-1] = candidates = candidates ^ low  # leaves the candidates after c
+        rest = candidates & mutual[c]
+        if len(current) + 1 + rest.bit_count() > len(best):
+            current.append(c)
+            if len(current) > len(best):
+                best = list(current)
+                if len(best) == bound:
+                    break
+            stack.append(rest)
     return best
 
 

@@ -3,24 +3,29 @@
 Carrier types that check their invariants on construction (state vectors,
 density operators, projections), tensor products, partial traces, Schmidt
 (biorthogonal) decomposition, density-operator decompositions, Born values,
-range preorder, and reduced evolution.  Spectra come from numpy's eigh and
-eigvalsh.  `jacobi_eigh`, a cyclic Jacobi rotation method, is the reference
-the tests check numpy against; no library code calls it.
+range preorder, and reduced evolution.  The carriers and `check_unitary`
+first refuse non-finite entries and non-square operators.  Spectra come
+from one numpy eigh or eigvalsh call each, the Schmidt form from one SVD.
+`jacobi_eigh`, a cyclic Jacobi rotation method, is the reference the
+tests check numpy against; no library code calls it.
 
 Every tolerance of the package is one of three constants.  EPS: density
 operators' Hermiticity, the cutoff below which an eigenvalue, Schmidt
-coefficient, amplitude or decomposition weight counts as zero, degenerate
-eigenvalue clusters, and the default actuality tolerance (Born value at
-least 1 - eps).  EPS_RECON: identities on recomputed products, namely
-positivity, Hermiticity and idempotence of projections, unitarity, range
-containment, and the null space taken as a meet of projections.  EPS_MATCH:
-unit norms, unit and integer traces, and operator equality (`find_operator`).
+coefficient (not its square), amplitude or decomposition weight counts as
+zero, degenerate eigenvalue clusters, and the default actuality tolerance
+(Born value at least 1 - eps).  EPS_RECON: identities on recomputed
+products, namely positivity, Hermiticity and idempotence of projections,
+unitarity, range containment, and the null space taken as a meet of
+projections.  EPS_MATCH: unit norms, unit and integer traces, and operator
+equality (`find_operator`); a meet that has an operand's rank but differs
+from it by more than EPS_MATCH is a NearDegenerateMeet.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -53,8 +58,27 @@ class InvalidOperator(HilbertError):
     """Matrix fails the invariants of its declared operator type."""
 
 
-def _as_complex(M):
-    return np.asarray(M, dtype=complex)
+class NearDegenerateMeet(HilbertError):
+    """Range containment and operator equality disagree on a meet of two projections."""
+
+    def __init__(self, gap):
+        self.gap = gap  # the largest entry difference between projections that should be equal
+        super().__init__(f"near-degenerate meet: equal projections differ by {gap:.3g}")
+
+
+def _as_matrix(X):
+    """The matrix of a DensityOperator or Projection, else X as a complex array."""
+    return X.matrix if isinstance(X, (DensityOperator, Projection)) else np.asarray(X, complex)
+
+
+def _entries(M, square=True):
+    """M as a complex array, refused unless its entries are finite and, if square, it is square."""
+    M = np.asarray(M, dtype=complex)
+    if not np.isfinite(M).all():
+        raise InvalidOperator("entries must be finite")
+    if square and (M.ndim != 2 or M.shape[0] != M.shape[1]):
+        raise InvalidOperator("operator must be square")
+    return M
 
 
 def find_operator(ops, M):
@@ -66,6 +90,7 @@ def find_operator(ops, M):
 
 def check_unitary(U):
     """Raise NotUnitary unless the square matrix U satisfies U^dagger U = I."""
+    U = _entries(U)
     if np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0]))) > EPS_RECON:
         raise NotUnitary("not unitary within eps")
 
@@ -79,10 +104,8 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = _as_complex(self.amplitudes).reshape(-1)
+        amps = _entries(self.amplitudes, square=False).reshape(-1)
         object.__setattr__(self, "amplitudes", amps)
-        if not np.all(np.isfinite(amps.view(float))):
-            raise InvalidOperator("non-finite amplitude")
         if abs(np.linalg.norm(amps) - 1.0) > EPS_MATCH:
             raise NormViolation(f"norm {np.linalg.norm(amps)} != 1")
 
@@ -96,10 +119,8 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        M = _as_complex(self.matrix)
+        M = _entries(self.matrix)
         object.__setattr__(self, "matrix", M)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise InvalidOperator("density operator must be square")
         if np.max(np.abs(M - M.conj().T)) > EPS:
             raise InvalidOperator("not Hermitian within eps")
         if abs(np.trace(M).real - 1.0) > EPS_MATCH:
@@ -119,10 +140,8 @@ class Projection:
     rank: int = field(init=False)  # the trace, set on construction
 
     def __post_init__(self):
-        M = _as_complex(self.matrix)
+        M = _entries(self.matrix)
         object.__setattr__(self, "matrix", M)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise InvalidOperator("projection must be square")
         if np.max(np.abs(M - M.conj().T)) > EPS_RECON:
             raise InvalidOperator("not Hermitian within eps")
         if np.max(np.abs(M @ M - M)) > EPS_RECON:
@@ -161,7 +180,7 @@ def jacobi_eigh(H, tol=1e-13, max_sweeps=60):
     library code calls it: it is the reference that numpy's eigh is
     checked against in the tests.
     """
-    A = _as_complex(H).copy()
+    A = _as_matrix(H).copy()
     n = A.shape[0]
     V = np.eye(n, dtype=complex)
     scale = max(1.0, float(np.max(np.abs(A))))
@@ -236,7 +255,7 @@ def _canonicalize_degenerate(evals, vecs):
             proj = block @ block.conj().T
             chosen = []
             for k in range(vecs.shape[0]):
-                w = proj @ np.eye(vecs.shape[0], dtype=complex)[:, k]
+                w = proj[:, k]
                 for u in chosen:
                     w = w - u * (u.conj() @ w)
                 nrm = np.linalg.norm(w)
@@ -272,12 +291,12 @@ def eigendecomposition(W):
 
 def tensor(A, B):
     """Kronecker product, left factor major: composite index = a*dB + b."""
-    return np.kron(_as_complex(A), _as_complex(B))
+    return np.kron(_as_matrix(A), _as_matrix(B))
 
 
 def partial_trace(W, dA, dB, keep="A"):
     """Reduced density operator on the kept factor of a dA*dB system."""
-    M = W.matrix if isinstance(W, DensityOperator) else _as_complex(W)
+    M = _as_matrix(W)
     if M.shape[0] != dA * dB:
         raise DimensionMismatch(f"operator dim {M.shape[0]} != {dA}*{dB}")
     T = M.reshape(dA, dB, dA, dB)
@@ -298,37 +317,20 @@ def _unit_amplitudes(psi):
 def schmidt(psi, dA, dB):
     """Biorthogonal decomposition of a bipartite unit vector.
 
-    Coefficients are descending square roots of the reduced-operator
-    eigenvalues; the reconstruction sum of coeff * (left x right) equals
-    psi up to global phase.
+    The coefficients are the singular values of psi read as a dA x dB
+    matrix, descending, those at most EPS dropped; the reconstruction sum
+    of coeff * (left x right) equals psi.
     """
     amps = _unit_amplitudes(psi)
     if amps.size != dA * dB:
         raise DimensionMismatch(f"vector dim {amps.size} != {dA}*{dB}")
-    M = amps.reshape(dA, dB)
-    evals, vecs = np.linalg.eigh(M.conj().T @ M)
-    order = np.argsort(-evals, kind="stable")
-    coeffs = []
-    lefts = []
-    rights = []
-    for k in order:
-        if evals[k] <= EPS:
-            continue
-        sigma = math.sqrt(max(evals[k], 0.0))
-        r = vecs[:, k]
-        l = M @ r / sigma
-        # fold phases so the left vector is canonical and the pair still
-        # reconstructs psi exactly (no global phase shuffling per term)
-        ph = _phase_fix(l)
-        l, r = l * ph, r * ph
-        coeffs.append(sigma)
-        lefts.append(l)
-        rights.append(r.conj())
-    return SchmidtForm(
-        coefficients=np.array(coeffs),
-        left_basis=np.column_stack(lefts),
-        right_basis=np.column_stack(rights),
-    )
+    lefts, coeffs, rights = np.linalg.svd(amps.reshape(dA, dB), full_matrices=False)
+    r = int(np.count_nonzero(coeffs > EPS))
+    # fold phases so each left vector is canonical and the pair still
+    # reconstructs psi exactly (no global phase shuffling per term)
+    ph = np.array([_phase_fix(lefts[:, k]) for k in range(r)])
+    return SchmidtForm(coefficients=coeffs[:r], left_basis=lefts[:, :r] * ph,
+                       right_basis=rights[:r].T * ph.conj())
 
 
 def is_entangled(psi, dA, dB):
@@ -338,8 +340,7 @@ def is_entangled(psi, dA, dB):
 
 def born(W, P):
     """Tr(W P), the probability of actualizing the property, clamped to [0,1]."""
-    WM = W.matrix if isinstance(W, DensityOperator) else _as_complex(W)
-    PM = P.matrix if isinstance(P, Projection) else _as_complex(P)
+    WM, PM = _as_matrix(W), _as_matrix(P)
     if WM.shape != PM.shape:
         raise DimensionMismatch(f"{WM.shape} vs {PM.shape}")
     val = float(np.trace(WM @ PM).real)
@@ -348,7 +349,8 @@ def born(W, P):
 
 def support_projection(W):
     """Projection onto the span of the eigenvectors with eigenvalue above EPS."""
-    V = np.column_stack([v for _, v in eigendecomposition(W)])
+    evals, vecs = np.linalg.eigh(W.matrix)
+    V = vecs[:, evals > EPS]
     return V @ V.conj().T
 
 
@@ -403,7 +405,7 @@ def decompositions_sample(W, parts, count, seed):
 def reduced_evolution(psi0, U, dA, dB):
     """Purity of the reduced operator on factor A before and after a unitary step."""
     amps = _unit_amplitudes(psi0)
-    U = _as_complex(U)
+    U = _as_matrix(U)
     if amps.size != dA * dB or U.shape != (dA * dB, dA * dB):
         raise DimensionMismatch("state/unitary dimensions do not match dA*dB")
     check_unitary(U)
@@ -417,10 +419,11 @@ def meet_projection(P, Q):
     """Projection onto range(P) intersect range(Q).
 
     Computed as the null space of (I-P) + (I-Q), extracted from the
-    eigendecomposition of that positive semidefinite sum.
+    eigendecomposition of that positive semidefinite sum.  The meet lies in
+    both ranges, so it must equal each operand of its rank (and so they each
+    other) within EPS_MATCH, or NearDegenerateMeet is raised.
     """
-    PM = P.matrix if isinstance(P, Projection) else _as_complex(P)
-    QM = Q.matrix if isinstance(Q, Projection) else _as_complex(Q)
+    PM, QM = _as_matrix(P), _as_matrix(Q)
     if PM.shape != QM.shape:
         raise DimensionMismatch(f"{PM.shape} vs {QM.shape}")
     n = PM.shape[0]
@@ -428,5 +431,9 @@ def meet_projection(P, Q):
     evals, vecs = np.linalg.eigh(S)
     V = vecs[:, evals <= EPS_RECON]
     R = V @ V.conj().T
-    R = (R + R.conj().T) / 2.0
-    return Projection(R)
+    R = Projection((R + R.conj().T) / 2.0)
+    same = [R.matrix] + [X for X in (PM, QM) if abs(X.trace().real - R.rank) < 0.5]
+    gap = max((abs(A - B).max() for A, B in combinations(same, 2)), default=0.0)
+    if gap > EPS_MATCH:
+        raise NearDegenerateMeet(float(gap))
+    return R

@@ -1,11 +1,11 @@
 """Line-oriented model files: parser, canonical serializer, and reports.
 
 One document kind per file ("lattice", "sps", "hilbert", "labworld").
-Complex entries are written `a+bi` / `a-bi` with optional whitespace;
-bare reals are permitted.  Matrix names carry roles, checked on parse by
-the `hilbert` carrier types under their tolerances.  Canonical
-serialization sorts sections, formats floats with 17 significant digits,
-and is a fixpoint: parse(serialize(doc)) == doc.
+Complex entries are written `a+bi` / `a-bi` with no inner whitespace
+(only `parse_complex` takes `a + bi`); bare reals are permitted.  Matrix
+names carry roles, checked on parse by the `hilbert` carrier types under
+their tolerances.  Canonical serialization sorts sections, formats floats
+with 17 significant digits, and is a fixpoint: parse(serialize(doc)) == doc.
 
 The parser works on whole sections, not line by line.  It finds the
 headers by searching for '[' and cuts the rows between two headers out
@@ -29,7 +29,8 @@ from operator import itemgetter
 import numpy as np
 
 from . import __version__
-from .hilbert import DensityOperator, HilbertError, Projection, StateVector, check_unitary
+from .hilbert import (DensityOperator, HilbertError, InvalidOperator, Projection, StateVector,
+                      _entries, check_unitary)
 from .lecce import LabObject, LabWorld
 
 KINDS = ("lattice", "sps", "hilbert", "labworld")
@@ -317,9 +318,7 @@ def _parse_hilbert_body(doc, by_name):
     if not matrices:
         raise ModelSchemaError("matrix", "hilbert document needs at least one matrix")
     for name, M in matrices.items():
-        _validate_matrix_role(name, M)
-        if dims is not None:
-            _check_dims(name, M, dims)
+        _check_role(name, M, dims)
     doc.body["dims"] = dims
     doc.body["matrices"] = matrices
 
@@ -337,43 +336,37 @@ def _matrix_row_fault(lines, cols):
                 return ModelSyntaxError(lineno, _field_col(line, j), "a complex literal")
 
 
-def _validate_matrix_role(name, M):
+def _column_state(M):
+    if M.shape[1] != 1:
+        raise InvalidOperator("state vector must be a column")
+    StateVector(M)
+
+
+# name prefix -> the `hilbert` check of the role, and whether [dims] puts
+# the matrix on factor A (else on the dA*dB space)
+_ROLES = {"psi": (_column_state, False), "W": (DensityOperator, False),
+          "P": (Projection, True), "U": (check_unitary, False)}
+
+
+def _check_role(name, M, dims):
     """Names carry roles: W* density, P* projection, U* unitary, psi* unit vector.
 
-    Each role is checked by the matching `hilbert` carrier, so a matrix
-    that parses is accepted by every command that reads it.
+    Every matrix must be finite, and each role is checked by the matching
+    `hilbert` carrier, so a matrix that parses is accepted by every command
+    that reads it; with [dims], each role must have its space's dimension.
     """
-    if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
-        raise ModelSchemaError("matrix", f"{name}: entries must be finite")
-    if name.startswith("psi") and M.shape[1] != 1:
-        raise ModelSchemaError("matrix", f"{name}: state vector must be a column")
-    if name[0] in ("W", "P", "U") and M.shape[0] != M.shape[1]:
-        raise ModelSchemaError("matrix", f"{name}: operator must be square")
+    role = next((r for prefix, r in _ROLES.items() if name.startswith(prefix)), None)
     try:
-        if name.startswith("psi"):
-            StateVector(M)
-        elif name.startswith("W"):
-            DensityOperator(M)
-        elif name.startswith("P"):
-            Projection(M)
-        elif name.startswith("U"):
-            check_unitary(M)
+        _entries(M, square=False)
+        if role:
+            role[0](M)
     except HilbertError as exc:
         raise ModelSchemaError("matrix", f"{name}: {exc}")
-
-
-def _check_dims(name, M, dims):
-    """With [dims] dA dB, psi*, W* and U* live on the dA*dB space, P* on factor A."""
-    dA, dB = dims
-    if name.startswith(("psi", "W", "U")):
-        want = dA * dB
-    elif name.startswith("P"):
-        want = dA
-    else:
-        return
-    if M.shape[0] != want:
-        raise ModelSchemaError("dims", f"{name} has dimension {M.shape[0]}, "
-                                       f"[dims] {dA} {dB} needs {want}")
+    if role and dims:
+        want = dims[0] if role[1] else dims[0] * dims[1]
+        if M.shape[0] != want:
+            raise ModelSchemaError("dims", f"{name} has dimension {M.shape[0]}, "
+                                           f"[dims] {dims[0]} {dims[1]} needs {want}")
 
 
 def _parse_labworld_body(doc, by_name):

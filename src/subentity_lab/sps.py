@@ -154,7 +154,7 @@ def _closure(prop_ops, dim):
         return i
 
     for k, P in enumerate(prop_ops):
-        M = P.matrix if isinstance(P, Projection) else np.asarray(P, dtype=complex)
+        M = hilbert._as_matrix(P)
         if M.shape != (dim, dim):
             raise hilbert.DimensionMismatch(f"property {k} has shape {M.shape}, not {(dim, dim)}")
         index(M)

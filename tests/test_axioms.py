@@ -241,6 +241,14 @@ def test_orthocomplement_search_has_no_depth_limit():
     assert weight == math.prod(range(1, 1200, 2))
 
 
+def test_orthogonal_family_search_has_no_depth_limit():
+    # under the constant map to the top every two elements are orthogonal, so
+    # the family is every nonzero element of the chain, one search level each
+    L = chain(1200)
+    verdict = check_infinite_length(atomic_sps(L), comp=[L.top] * L.size)
+    assert verdict.counterexample == tuple(range(1, 1200))
+
+
 def test_irreducibility_examples():
     v = check_irreducibility(atomic_sps(boolean_square()))
     assert not v.passed and v.counterexample in (1, 2)  # any proper element reduces

@@ -136,6 +136,15 @@ def test_is_entangled():
     assert is_entangled(lop, 2, 2)  # rank counts coefficients above eps, not weight
 
 
+@pytest.mark.parametrize("eps,rank", [(1e-5, 2), (1e-10, 1)])
+def test_schmidt_cuts_the_coefficient_not_its_square(eps, rank):
+    # a coefficient of 1e-5 has a square of 1e-10, below EPS, yet is itself above it
+    psi = np.sqrt(1 - eps ** 2) * np.kron(Z0, Z0) + eps * np.kron(Z1, Z1)
+    f = schmidt(psi, 2, 2)
+    assert f.rank == rank and is_entangled(psi, 2, 2) == (rank == 2)
+    assert np.allclose(f.coefficients, [np.sqrt(1 - eps ** 2), eps][:rank], rtol=1e-9, atol=0)
+
+
 def test_entanglement_iff_mixed_reduction():
     rng = np.random.default_rng(3)
     for _ in range(30):
@@ -314,3 +323,13 @@ def test_type_invariants_enforced():
         Projection(np.array([[0.5, 0.0], [0.0, 0.0]]))  # not idempotent
     with pytest.raises(h.NormViolation):
         StateVector(np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_entries_are_invalid_operators(bad):
+    # NaN compares false against every tolerance, so only an entry check refuses it
+    M = np.array([[bad, 0.0], [0.0, 0.0]])
+    for check, arg in ((StateVector, M[0]), (DensityOperator, M), (Projection, M),
+                       (h.check_unitary, M)):
+        with pytest.raises(h.InvalidOperator, match="entries must be finite"):
+            check(arg)

@@ -598,9 +598,7 @@ def _per_entry_hilbert_body(doc, by_name):
     if not matrices:
         raise ModelSchemaError("matrix", "hilbert document needs at least one matrix")
     for name, M in matrices.items():
-        modelio._validate_matrix_role(name, M)
-        if dims is not None:
-            modelio._check_dims(name, M, dims)
+        modelio._check_role(name, M, dims)
     doc.body["dims"] = dims
     doc.body["matrices"] = matrices
 

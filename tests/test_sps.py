@@ -1,18 +1,23 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subentity_lab.cli import run_cli
 from subentity_lab.hilbert import (
     EPS_MATCH,
     DensityOperator,
     DimensionMismatch,
+    NearDegenerateMeet,
     Projection,
     born,
     jacobi_eigh,
     meet_projection,
 )
 from subentity_lab.lattice import build_lattice, meet
+from subentity_lab.modelio import ModelDocument, serialize_model
 from subentity_lab.sps import (
     Def1MeetClosureViolation,
     Def1TopBottomViolation,
@@ -167,6 +172,36 @@ def test_property_on_another_space_is_a_dimension_mismatch():
         quantum_sps([np.eye(2) / 2], [np.eye(3)])
     with pytest.raises(DimensionMismatch):
         close_projections([proj(Z0), np.eye(3)], 2)
+
+
+def tilted_planes(delta):
+    """Two real planes in R^3 that share the line of e1, the second tilted by delta."""
+    e1, e2, e3 = np.eye(3)
+    return proj(e1) + proj(e2), proj(e1) + proj(np.cos(delta) * e2 + np.sin(delta) * e3)
+
+
+@pytest.mark.parametrize("delta,size", [(1e-3, 5), (1e-5, None), (2e-7, None), (1e-9, 3)])
+def test_tilted_planes_give_the_lattice_or_a_named_ambiguity(delta, size):
+    # below a tilt of about 1.4e-4 the null space cut at EPS_RECON puts a whole
+    # plane in the meet; above 1e-7 the planes still differ by more than EPS_MATCH
+    states, props = [np.diag([1.0, 0.0, 0.0])], list(tilted_planes(delta))
+    if size is None:
+        with pytest.raises(NearDegenerateMeet) as info:
+            quantum_sps(states, props)
+        assert info.value.gap > EPS_MATCH
+    else:
+        assert quantum_sps(states, props).sps.lattice.size == size
+
+
+def test_near_degenerate_meet_is_an_input_error_of_the_cli(tmp_path):
+    P, Q = tilted_planes(1e-5)
+    doc = ModelDocument(kind="hilbert", body={
+        "dims": (3, 1), "matrices": {"W": np.diag([1.0, 0.0, 0.0]), "P1": P, "P2": Q}})
+    path = tmp_path / "tilted.hilbert"
+    path.write_bytes(serialize_model(doc))
+    out, err = io.StringIO(), io.StringIO()
+    assert run_cli(["subentity-quantum", str(path)], stdout=out, stderr=err) == 2
+    assert out.getvalue() == "" and "near-degenerate meet" in err.getvalue()
 
 
 # --- the closure against the round-based formulation -----------------------
