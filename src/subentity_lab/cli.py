@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import axioms, hilbert, lecce, subentity
-from .hilbert import EPS, DensityOperator
+from .hilbert import EPS
 from .lattice import LatticeError, build_lattice
 from .modelio import (
     ModelIOError,
@@ -164,10 +164,10 @@ def _cmd_ptrace(args, rep, doc):
     dA, dB = _dims(doc, args.file)
     mats = doc.body["matrices"]
     if "W" in mats:
-        W = DensityOperator(mats["W"])
+        W = mats["W"]
     elif "psi" in mats:
         v = mats["psi"].reshape(-1)
-        W = DensityOperator(np.outer(v, v.conj()))
+        W = np.outer(v, v.conj())
     else:
         raise _InputError(f"{args.file}: needs a matrix named W or psi")
     R = hilbert.partial_trace(W, dA, dB, keep=args.keep)
@@ -252,7 +252,7 @@ def _cmd_lecce_build(args, rep, doc):
 
 
 def _cmd_decompose(args, rep, doc):
-    W = DensityOperator(_matrix(doc, args.file, "W"))
+    W = _matrix(doc, args.file, "W")
     try:
         samples = hilbert.decompositions_sample(W, args.parts, args.samples, args.seed)
     except hilbert.PartsBelowRank as exc:

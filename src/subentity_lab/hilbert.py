@@ -4,8 +4,10 @@ Carrier types that check their invariants on construction (state vectors,
 density operators, projections), tensor products, partial traces, Schmidt
 (biorthogonal) decomposition, density-operator decompositions, Born values,
 range preorder, and reduced evolution.  The carriers and `check_unitary`
-first refuse non-finite entries and non-square operators.  Spectra come
-from one numpy eigh or eigvalsh call each, the Schmidt form from one SVD.
+first refuse non-finite entries and non-square operators.  Operations take
+each density operator, projection or state vector as its carrier or as an
+array they build (and so check) the carrier from.  Spectra come from one
+numpy eigh or eigvalsh call each, the Schmidt form from one SVD.
 `jacobi_eigh`, a cyclic Jacobi rotation method, is the reference the
 tests check numpy against; no library code calls it.
 
@@ -18,7 +20,8 @@ products, namely positivity, Hermiticity and idempotence of projections,
 unitarity, range containment, and the null space taken as a meet of
 projections.  EPS_MATCH: unit norms, unit and integer traces, and operator
 equality (`find_operator`); a meet that has an operand's rank but differs
-from it by more than EPS_MATCH is a NearDegenerateMeet.
+from it by more than EPS_MATCH is a NearDegenerateMeet.  `sps` labels a
+closure on entries rounded to 6 decimals, which decides no verdict.
 """
 
 from __future__ import annotations
@@ -66,11 +69,6 @@ class NearDegenerateMeet(HilbertError):
         super().__init__(f"near-degenerate meet: equal projections differ by {gap:.3g}")
 
 
-def _as_matrix(X):
-    """The matrix of a DensityOperator or Projection, else X as a complex array."""
-    return X.matrix if isinstance(X, (DensityOperator, Projection)) else np.asarray(X, complex)
-
-
 def _entries(M, square=True):
     """M as a complex array, refused unless its entries are finite and, if square, it is square."""
     M = np.asarray(M, dtype=complex)
@@ -79,6 +77,11 @@ def _entries(M, square=True):
     if square and (M.ndim != 2 or M.shape[0] != M.shape[1]):
         raise InvalidOperator("operator must be square")
     return M
+
+
+def _carrier(role, X):
+    """X if it is already a `role` carrier, else the carrier built (and so checked) from X."""
+    return X if isinstance(X, role) else role(X)
 
 
 def find_operator(ops, M):
@@ -180,7 +183,7 @@ def jacobi_eigh(H, tol=1e-13, max_sweeps=60):
     library code calls it: it is the reference that numpy's eigh is
     checked against in the tests.
     """
-    A = _as_matrix(H).copy()
+    A = _entries(H).copy()
     n = A.shape[0]
     V = np.eye(n, dtype=complex)
     scale = max(1.0, float(np.max(np.abs(A))))
@@ -278,7 +281,7 @@ def eigendecomposition(W):
     zero-weight terms dropped, and a deterministic basis in degenerate
     eigenspaces.
     """
-    evals, vecs = np.linalg.eigh(W.matrix)
+    evals, vecs = np.linalg.eigh(_carrier(DensityOperator, W).matrix)
     vecs = _canonicalize_degenerate(evals, vecs)
     pairs = [(float(evals[k]), vecs[:, k]) for k in range(evals.size) if evals[k] > EPS]
     pairs.sort(key=lambda t: -t[0])
@@ -291,27 +294,24 @@ def eigendecomposition(W):
 
 def tensor(A, B):
     """Kronecker product, left factor major: composite index = a*dB + b."""
-    return np.kron(_as_matrix(A), _as_matrix(B))
+    return np.kron(_entries(A, square=False), _entries(B, square=False))
+
+
+def _reduce(M, dA, dB, keep):
+    """The Hermitian part of the partial trace of the dA*dB matrix M onto factor `keep`."""
+    axes = {"A": (1, 3), "B": (0, 2)}.get(keep)
+    if axes is None:
+        raise ValueError("keep must be 'A' or 'B'")
+    R = np.trace(M.reshape(dA, dB, dA, dB), axis1=axes[0], axis2=axes[1])
+    return (R + R.conj().T) / 2.0
 
 
 def partial_trace(W, dA, dB, keep="A"):
     """Reduced density operator on the kept factor of a dA*dB system."""
-    M = _as_matrix(W)
-    if M.shape[0] != dA * dB:
-        raise DimensionMismatch(f"operator dim {M.shape[0]} != {dA}*{dB}")
-    T = M.reshape(dA, dB, dA, dB)
-    if keep == "A":
-        R = np.trace(T, axis1=1, axis2=3)
-    elif keep == "B":
-        R = np.trace(T, axis1=0, axis2=2)
-    else:
-        raise ValueError("keep must be 'A' or 'B'")
-    R = (R + R.conj().T) / 2.0
-    return DensityOperator(R)
-
-
-def _unit_amplitudes(psi):
-    return (psi if isinstance(psi, StateVector) else StateVector(psi)).amplitudes
+    W = _carrier(DensityOperator, W)
+    if W.dim != dA * dB:
+        raise DimensionMismatch(f"operator dim {W.dim} != {dA}*{dB}")
+    return DensityOperator(_reduce(W.matrix, dA, dB, keep))
 
 
 def schmidt(psi, dA, dB):
@@ -321,7 +321,7 @@ def schmidt(psi, dA, dB):
     matrix, descending, those at most EPS dropped; the reconstruction sum
     of coeff * (left x right) equals psi.
     """
-    amps = _unit_amplitudes(psi)
+    amps = _carrier(StateVector, psi).amplitudes
     if amps.size != dA * dB:
         raise DimensionMismatch(f"vector dim {amps.size} != {dA}*{dB}")
     lefts, coeffs, rights = np.linalg.svd(amps.reshape(dA, dB), full_matrices=False)
@@ -340,16 +340,16 @@ def is_entangled(psi, dA, dB):
 
 def born(W, P):
     """Tr(W P), the probability of actualizing the property, clamped to [0,1]."""
-    WM, PM = _as_matrix(W), _as_matrix(P)
-    if WM.shape != PM.shape:
-        raise DimensionMismatch(f"{WM.shape} vs {PM.shape}")
-    val = float(np.trace(WM @ PM).real)
+    W, P = _carrier(DensityOperator, W), _carrier(Projection, P)
+    if W.dim != P.dim:
+        raise DimensionMismatch(f"{W.matrix.shape} vs {P.matrix.shape}")
+    val = float(np.trace(W.matrix @ P.matrix).real)
     return min(1.0, max(0.0, val))
 
 
 def support_projection(W):
     """Projection onto the span of the eigenvectors with eigenvalue above EPS."""
-    evals, vecs = np.linalg.eigh(W.matrix)
+    evals, vecs = np.linalg.eigh(_carrier(DensityOperator, W).matrix)
     V = vecs[:, evals > EPS]
     return V @ V.conj().T
 
@@ -360,6 +360,7 @@ def range_preorder(W1, W2):
     Decided via the support projection Q2 of W2: containment holds iff
     Q2 W1 Q2 == W1 within EPS_RECON.
     """
+    W1, W2 = _carrier(DensityOperator, W1), _carrier(DensityOperator, W2)
     if W1.dim != W2.dim:
         raise DimensionMismatch(f"{W1.dim} vs {W2.dim}")
     Q2 = support_projection(W2)
@@ -367,7 +368,8 @@ def range_preorder(W1, W2):
 
 
 def purity(W):
-    return float(np.trace(W.matrix @ W.matrix).real)
+    M = _carrier(DensityOperator, W).matrix
+    return float(np.trace(M @ M).real)
 
 
 def decompositions_sample(W, parts, count, seed):
@@ -404,15 +406,13 @@ def decompositions_sample(W, parts, count, seed):
 
 def reduced_evolution(psi0, U, dA, dB):
     """Purity of the reduced operator on factor A before and after a unitary step."""
-    amps = _unit_amplitudes(psi0)
-    U = _as_matrix(U)
+    amps = _carrier(StateVector, psi0).amplitudes
+    U = _entries(U, square=False)
     if amps.size != dA * dB or U.shape != (dA * dB, dA * dB):
         raise DimensionMismatch("state/unitary dimensions do not match dA*dB")
     check_unitary(U)
-    before = purity(partial_trace(np.outer(amps, amps.conj()), dA, dB, keep="A"))
-    out = U @ amps
-    after = purity(partial_trace(np.outer(out, out.conj()), dA, dB, keep="A"))
-    return before, after
+    reduced = (_reduce(np.outer(v, v.conj()), dA, dB, "A") for v in (amps, U @ amps))
+    return tuple(float(np.trace(R @ R).real) for R in reduced)
 
 
 def meet_projection(P, Q):
@@ -421,18 +421,18 @@ def meet_projection(P, Q):
     Computed as the null space of (I-P) + (I-Q), extracted from the
     eigendecomposition of that positive semidefinite sum.  The meet lies in
     both ranges, so it must equal each operand of its rank (and so they each
-    other) within EPS_MATCH, or NearDegenerateMeet is raised.
+    other) within EPS_MATCH, or NearDegenerateMeet is raised.  Each operand
+    is a Projection, or an array checked as one, whose rank is read off it.
     """
-    PM, QM = _as_matrix(P), _as_matrix(Q)
-    if PM.shape != QM.shape:
-        raise DimensionMismatch(f"{PM.shape} vs {QM.shape}")
-    n = PM.shape[0]
-    S = (np.eye(n) - PM) + (np.eye(n) - QM)
+    P, Q = _carrier(Projection, P), _carrier(Projection, Q)
+    if P.dim != Q.dim:
+        raise DimensionMismatch(f"{P.matrix.shape} vs {Q.matrix.shape}")
+    S = (np.eye(P.dim) - P.matrix) + (np.eye(P.dim) - Q.matrix)
     evals, vecs = np.linalg.eigh(S)
     V = vecs[:, evals <= EPS_RECON]
     R = V @ V.conj().T
     R = Projection((R + R.conj().T) / 2.0)
-    same = [R.matrix] + [X for X in (PM, QM) if abs(X.trace().real - R.rank) < 0.5]
+    same = [R.matrix] + [X.matrix for X in (P, Q) if X.rank == R.rank]
     gap = max((abs(A - B).max() for A, B in combinations(same, 2)), default=0.0)
     if gap > EPS_MATCH:
         raise NearDegenerateMeet(float(gap))

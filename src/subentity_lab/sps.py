@@ -140,37 +140,39 @@ class QuantumSPS:
 def _closure(prop_ops, dim):
     """Meet closure of prop_ops with zero and identity, and its order pairs.
 
-    A worklist meets each projection kept once with every one kept before
-    it; i <= j exactly when meet(i, j) = i.  Sorted by (rank, entries), which
-    fixes the labeling the pairs are given on.
+    Every property is a Projection before any meet.  A worklist meets each
+    projection kept once with every one kept before it; i <= j exactly when
+    meet(i, j) = i.  Sorted by (rank, entries), which fixes the labeling the
+    pairs are given on.
     """
-    kept = np.array([np.zeros((dim, dim)), np.eye(dim)], dtype=complex)
+    kept = [Projection(np.zeros((dim, dim))), Projection(np.eye(dim))]
+    mats = np.array([P.matrix for P in kept])  # kept's matrices, stacked for find_operator
 
-    def index(M):
-        nonlocal kept
-        i = find_operator(kept, M)
+    def index(P):
+        nonlocal mats
+        i = find_operator(mats, P.matrix)
         if i is None:
-            i, kept = len(kept), np.concatenate([kept, [M]])
+            i, mats = len(kept), np.concatenate([mats, [P.matrix]])
+            kept.append(P)
         return i
 
     for k, P in enumerate(prop_ops):
-        M = hilbert._as_matrix(P)
-        if M.shape != (dim, dim):
-            raise hilbert.DimensionMismatch(f"property {k} has shape {M.shape}, not {(dim, dim)}")
-        index(M)
+        P = hilbert._carrier(Projection, P)
+        if P.dim != dim:
+            raise hilbert.DimensionMismatch(f"property {k} has dim {P.dim}, not {dim}")
+        index(P)
     meets, k = {}, 1
     while k < len(kept):  # kept grows while the meets with k are taken
         for j in range(k):
-            meets[j, k] = index(meet_projection(kept[j], kept[k]).matrix)
+            meets[j, k] = index(meet_projection(kept[j], kept[k]))
         k += 1
-    projs = [Projection(M) for M in kept]
-    rounded = [np.round(P.matrix, 6) for P in projs]
-    order = sorted(range(len(projs)), key=lambda i: (
-        projs[i].rank, tuple(rounded[i].real.ravel()), tuple(rounded[i].imag.ravel())))
+    rounded = np.round(mats, 6)
+    order = sorted(range(len(kept)), key=lambda i: (
+        kept[i].rank, tuple(rounded[i].real.ravel()), tuple(rounded[i].imag.ravel())))
     label = {i: pos for pos, i in enumerate(order)}
     pairs = [(label[j], label[k]) if m == j else (label[k], label[j])
              for (j, k), m in meets.items() if m in (j, k)]
-    return [projs[i] for i in order], pairs
+    return [kept[i] for i in order], pairs
 
 
 def close_projections(prop_ops, dim):
@@ -191,7 +193,7 @@ def quantum_sps(state_ops, prop_ops, eps=EPS):
     Distinct state operators with identical actuality rows are reported as
     duplicates, not rejected.
     """
-    states = [W if isinstance(W, DensityOperator) else DensityOperator(W) for W in state_ops]
+    states = [hilbert._carrier(DensityOperator, W) for W in state_ops]
     if not states:
         raise SPSError("at least one state operator required")
     dim = states[0].dim

@@ -159,7 +159,7 @@ def build_completed_model(dims, whole_states, part_props, eps=EPS):
     maps each whole state to its reduction and each property to itself.
     """
     dA, dB = dims
-    wholes = [W if isinstance(W, DensityOperator) else DensityOperator(W) for W in whole_states]
+    wholes = [hilbert._carrier(DensityOperator, W) for W in whole_states]
     if any(W.dim != dA * dB for W in wholes):
         raise hilbert.DimensionMismatch("whole states must live on the dA*dB space")
     part_states, m = [], []
@@ -187,11 +187,9 @@ def canonical_witness_check(model, eps=EPS):
     Tr(W' (P x I)) reaches certainty exactly when Tr(Tr_G(W') P) does.
     """
     dA, dB = model.part_dims
-    props = model.part.prop_ops
-    lifted = [tensor(P.matrix, np.eye(dB)) for P in props]
     for W in model.whole.state_ops:
         R = partial_trace(W, dA, dB, keep="A")
-        for P, PI in zip(props, lifted):
-            if (born(W.matrix, PI) >= 1.0 - eps) != (born(R, P) >= 1.0 - eps):
+        for P, PI in zip(model.part.prop_ops, model.whole.prop_ops):
+            if (born(W, PI) >= 1.0 - eps) != (born(R, P) >= 1.0 - eps):
                 return False
     return True

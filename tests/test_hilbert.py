@@ -21,6 +21,7 @@ from subentity_lab.hilbert import (
     schmidt,
     tensor,
 )
+from subentity_lab.sps import quantum_sps
 
 from conftest import BELL, MINUS, PLUS, Z0, Z1, ket, proj
 
@@ -333,3 +334,32 @@ def test_non_finite_entries_are_invalid_operators(bad):
                        (h.check_unitary, M)):
         with pytest.raises(h.InvalidOperator, match="entries must be finite"):
             check(arg)
+
+
+RAW = np.array([[0.5, 0.25j], [-0.25j, 0.5]])  # a density matrix, not wrapped
+CARRIED = DensityOperator(RAW)
+LINE = np.diag([1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("op, args, carried", [
+    (born, (np.full((2, 2), np.nan), np.eye(2)), None),
+    (born, (5 * np.eye(2), np.eye(2)), None),
+    (partial_trace, (np.ones((4, 3)), 2, 2), None),
+    (meet_projection, (np.diag([1.0, 0.5, 0.0]), np.eye(3)), None),
+    (quantum_sps, ([LINE], [np.diag([1.0, 1e-5, 0.0])]), None),
+    (quantum_sps, ([LINE], [np.array([[1, 1e-3, 0], [0, 0, 0], [0, 0, 0]])]), None),
+    (h.purity, (RAW,), (CARRIED,)),
+    (eigendecomposition, (RAW,), (CARRIED,)),
+    (h.support_projection, (RAW,), (CARRIED,)),
+    (range_preorder, (proj(Z0), RAW), (DensityOperator(proj(Z0)), CARRIED)),
+    (decompositions_sample, (RAW, 3, 2, 7), (CARRIED, 3, 2, 7)),
+])
+def test_a_raw_operand_is_read_as_its_carrier(op, args, carried):
+    # a malformed raw operand is refused as its carrier refuses it, not read
+    # unchecked (or reported as a near-degenerate meet); a valid one gives
+    # what the carrier gives
+    if carried is None:
+        with pytest.raises(h.InvalidOperator):
+            op(*args)
+    else:
+        np.testing.assert_equal(op(*args), op(*carried))

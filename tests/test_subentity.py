@@ -354,7 +354,7 @@ def test_build_completed_model_closes_the_part_once(monkeypatch):
     original = sps_module.meet_projection
 
     def counting(P, Q):
-        dims_met.append(len(P))
+        dims_met.append(P.dim)
         return original(P, Q)
 
     monkeypatch.setattr(sps_module, "meet_projection", counting)
