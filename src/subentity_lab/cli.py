@@ -45,7 +45,9 @@ positive, 1 = ran and the verdict is negative (an axiom failed, no witness
 found, ...), 2 = input error, 3 = search budget exhausted.  The two commands
 that use a tolerance, subentity-quantum and evolve, take it from --eps,
 falling back to the SUBENTITY_LAB_EPS environment variable, then the
-built-in default; the other commands refuse --eps.  Numeric options are
+built-in default; the other commands refuse --eps.  In subentity-quantum
+eps is the actuality tolerance; in evolve it is the largest change of the
+reduced purity still reported as unitary.  Numeric options are
 checked as they are parsed: a negative --seed or --budget, a --samples below
 1, or an --eps that is negative or not finite is a usage error (exit 2).
 """
@@ -213,7 +215,7 @@ def _cmd_subentity_quantum(args, rep, doc):
         model = subentity.build_completed_model(dims, wholes, props, args.eps)
     except (hilbert.HilbertError, SPSError, subentity.SubentityError) as exc:
         raise _InputError(f"{args.file}: {exc}")
-    cov = subentity.canonical_witness_check(model, args.eps)
+    cov = subentity.canonical_witness_check(model)
     ver = subentity.verify_witness(model.part.sps, model.whole.sps, model.witness)
     rep.verdicts.append({
         "canonical_covariance": cov,
@@ -294,8 +296,9 @@ def _build_parser():
     # the commands that take this parent share the one action object
     tolerance = argparse.ArgumentParser(add_help=False)
     eps = tolerance.add_argument("--eps", type=_at_least(float, 0), default=EPS,
-                                 help="actuality tolerance (default %(default)s, from "
-                                      "SUBENTITY_LAB_EPS if set)")
+                                 help="subentity-quantum: actuality tolerance; evolve: "
+                                      "largest purity change reported as unitary (default "
+                                      "%(default)s, from SUBENTITY_LAB_EPS if set)")
 
     ap = argparse.ArgumentParser(prog="subentity-lab", description=DESCRIPTION)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -320,7 +323,7 @@ def _build_parser():
     p = command("subentity-search", _cmd_subentity_search,
                 "exhaustive subentity witness search between two systems",
                 {"part": system, "whole": system})
-    p.add_argument("--budget", type=_at_least(int, 0), default=10_000_000,
+    p.add_argument("--budget", type=_at_least(int, 0), default=subentity.DEFAULT_BUDGET,
                    help="the most property injections to try before stopping "
                         "with exit 3 (default %(default)s)")
     command("subentity-quantum", _cmd_subentity_quantum,

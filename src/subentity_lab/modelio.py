@@ -7,14 +7,16 @@ names carry roles, checked on parse by the `hilbert` carrier types under
 their tolerances.  Canonical serialization sorts sections, formats floats
 with 17 significant digits, and is a fixpoint: parse(serialize(doc)) == doc.
 
-The parser works on whole sections, not line by line.  It finds the
-headers by searching for '[' and cuts the rows between two headers out
-at once.  A lab's rows are checked column by column (object names,
-preparers, each distinct outcome text once) and a matrix's entries by
-one grammar match; the grammar reads each entry in one way only, so a
-match that fails costs about as much as one that succeeds.  A
-row-by-row scan runs only when a check fails, to name the first bad
-row, so every error is the one a line-by-line parser reports.
+The parser reads a file in one loop over its lines, after one regex pass
+has cut the comments; a line whose first non-blank character is '['
+opens a section.  Every integer field is read by one rule, `_integer`:
+decimal digits only, no sign and no '_'.  A lab's rows are checked
+column by column (object names, preparers, each distinct outcome text
+once) and a matrix's entries by one grammar match; the grammar reads
+each entry in one way only, so a match that fails costs about as much
+as one that succeeds.  A row-by-row scan runs only when a check fails,
+to name the first bad row, so every error is the one a row-by-row
+parser reports.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import chain, count, repeat
-from operator import itemgetter
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -134,17 +135,12 @@ def _field_col(line, k):
 # parsing
 
 
-def _rows(chunk, first):
-    """(lineno, row) for each line of chunk with text left once its comment
-    and trailing whitespace are cut, and the number of lines in chunk.
-
-    The chunk's first line is line `first` of the file.  The lines are cut
-    by C-level calls, with no Python step per line.
-    """
-    if "#" in chunk:
-        chunk = _COMMENT_RE.sub("", chunk)
-    lines = chunk.split("\n")
-    return list(filter(itemgetter(1), zip(count(first), map(str.rstrip, lines)))), len(lines)
+def _integer(token):
+    """The int of a token of decimal digits only (`_NUMBER`'s digits), else None."""
+    try:
+        return int(token) if token.isdecimal() else None
+    except ValueError:  # too long for int() to read
+        return None
 
 
 def _split_sections(text):
@@ -152,38 +148,29 @@ def _split_sections(text):
 
     A row loses its comment and trailing whitespace but keeps its indent,
     so a column found in it counts from the start of the file line.  A
-    header is a line whose first non-blank character is '['; the search
-    for '[' visits each line at most once, and the rows between two
-    headers are cut out together.
+    header is a line whose first non-blank character is '['.
     """
-    heads = []  # (start, end) offsets of each header line
-    i = text.find("[")
-    while i != -1:
-        start = text.rfind("\n", 0, i) + 1
-        end = text.find("\n", i)
-        if end == -1:
-            end = len(text)
-        if not text[start:i].strip():
-            heads.append((start, end))
-        i = text.find("[", end)
-    starts = [start for start, _ in heads] + [len(text)]
-    stray, lineno = _rows(text[:starts[0]], 1)
-    if stray:
-        n, row = stray[0]
-        raise ModelSyntaxError(n, len(row) - len(row.lstrip()) + 1,
-                               "a section header before content")
+    if "#" in text:
+        text = _COMMENT_RE.sub("", text)
     sections = []
-    for (start, end), stop in zip(heads, starts[1:]):
-        row = text[start:end].partition("#")[0].rstrip()
-        line = row.lstrip()
-        if not line.endswith("]"):
-            raise ModelSyntaxError(lineno, len(row), "closing ']' on section header")
-        tokens = line[1:-1].split()
-        if not tokens:
-            raise ModelSyntaxError(lineno, len(row) - len(line) + 2, "section name")
-        rows, n = _rows(text[end + 1:stop], lineno + 1)
-        sections.append((tokens, rows))
-        lineno += n
+    rows = None  # the open section's rows
+    for lineno, row in enumerate(map(str.rstrip, text.split("\n")), 1):
+        if not row:
+            continue
+        line = row.lstrip() if row[0].isspace() else row  # a plain row is not copied
+        if line[0] == "[":
+            if not line.endswith("]"):
+                raise ModelSyntaxError(lineno, len(row), "closing ']' on section header")
+            tokens = line[1:-1].split()
+            if not tokens:
+                raise ModelSyntaxError(lineno, len(row) - len(line) + 2, "section name")
+            rows = []
+            sections.append((tokens, rows))
+        elif rows is None:
+            raise ModelSyntaxError(lineno, len(row) - len(line) + 1,
+                                   "a section header before content")
+        else:
+            rows.append((lineno, row))
     return sections
 
 
@@ -194,7 +181,10 @@ def _kv_lines(lines, section):
             raise ModelSyntaxError(lineno, _field_col(line, 0),
                                    f"'key = value' in section [{section}]")
         key, _, val = line.partition("=")
-        out[key.strip()] = val.strip()
+        key = key.strip()
+        if key in out:
+            raise ModelSchemaError(section, f"key {key} listed twice")
+        out[key] = val.strip()
     return out
 
 
@@ -246,18 +236,15 @@ def _parse_lattice_body(doc, by_name):
     if ("lattice",) not in by_name:
         raise ModelSchemaError("lattice", "missing [lattice] section")
     kv = _kv_lines(by_name.pop(("lattice",)), "lattice")
-    try:
-        size = int(kv["size"])
-    except (KeyError, ValueError):
-        raise ModelSchemaError("lattice", "size must be a positive integer")
-    if size < 1:
+    size = _integer(kv.get("size", ""))
+    if not size:
         raise ModelSchemaError("lattice", "size must be a positive integer")
     order = []
     for lineno, line in by_name.pop(("order",), []):
         parts = line.split()
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        a, b = map(_integer, parts) if len(parts) == 2 else (None, None)
+        if a is None or b is None:
             raise ModelSyntaxError(lineno, _field_col(line, 0), "two element indices")
-        a, b = int(parts[0]), int(parts[1])
         if not (0 <= a < size and 0 <= b < size):
             raise ModelSchemaError("order", f"pair ({a},{b}) out of range for size {size}")
         order.append((a, b))
@@ -267,9 +254,8 @@ def _parse_lattice_body(doc, by_name):
 
 def _parse_sps_body(doc, by_name):
     kv = _kv_lines(by_name.pop(("states",), []), "states")
-    try:
-        count = int(kv["count"])
-    except (KeyError, ValueError):
+    count = _integer(kv.get("count", ""))
+    if count is None:
         raise ModelSchemaError("states", "count must be an integer")
     rows = []
     for lineno, line in by_name.pop(("actuality",), []):
@@ -291,18 +277,17 @@ def _parse_hilbert_body(doc, by_name):
     if dim_lines is not None:
         if len(dim_lines) != 1 or len(dim_lines[0][1].split()) != 2:
             raise ModelSchemaError("dims", "one line with two factor dimensions")
-        a, b = dim_lines[0][1].split()
-        if not (a.isdigit() and b.isdigit()) or int(a) < 1 or int(b) < 1:
+        dims = tuple(map(_integer, dim_lines[0][1].split()))
+        if not all(dims):
             raise ModelSchemaError("dims", "factor dimensions must be positive integers")
-        dims = (int(a), int(b))
     matrices = {}
     for key in [k for k in by_name if k and k[0] == "matrix"]:
         lines = by_name.pop(key)
-        if (len(key) != 4 or not (key[2].isdigit() and key[3].isdigit())
-                or int(key[2]) < 1 or int(key[3]) < 1):
+        rows, cols = map(_integer, key[2:]) if len(key) == 4 else (None, None)
+        if not (rows and cols):
             raise ModelSchemaError(" ".join(key), "header must be [matrix NAME ROWS COLS], "
                                                   "ROWS and COLS at least 1")
-        name, rows, cols = key[1], int(key[2]), int(key[3])
+        name = key[1]
         if name in matrices:
             raise ModelSchemaError(" ".join(key), "duplicate matrix name")
         if len(lines) != rows:

@@ -66,6 +66,7 @@ class CompletedQuantumModel:
     part: QuantumSPS  # prop_ops: the meet-closed projections on the part space
     whole: QuantumSPS  # state_ops: the density operators on the full space
     witness: SubentityWitness
+    eps: float  # the actuality tolerance the model was built with
 
 
 def verify_witness(part, whole, w):
@@ -108,7 +109,10 @@ def _preimage(row, n):
     return out
 
 
-def search_witness(part, whole, budget=10_000_000):
+DEFAULT_BUDGET = 10_000_000  # injections search_witness tries unless told otherwise
+
+
+def search_witness(part, whole, budget=DEFAULT_BUDGET):
     """Exhaustive deterministic search for a subentity witness.
 
     Tries the injections n in lexicographic order over property indices;
@@ -178,15 +182,22 @@ def build_completed_model(dims, whole_states, part_props, eps=EPS):
         part=part_q,
         whole=whole_q,
         witness=SubentityWitness(m=tuple(m), n=tuple(range(len(whole_projs)))),
+        eps=eps,
     )
 
 
-def canonical_witness_check(model, eps=EPS):
+def canonical_witness_check(model):
     """Covariance of the canonical witness, stated directly on Born values:
 
-    Tr(W' (P x I)) reaches certainty exactly when Tr(Tr_G(W') P) does.
+    Tr(W' (P x I)) reaches certainty exactly when Tr(Tr_G(W') P) does,
+    certainty read under the tolerance the model was built with.  The
+    partial trace of each whole state is taken here again, on purpose:
+    the model keeps, for each reduction, the first part state within
+    EPS_MATCH of it, so reading that state would repeat verify_witness's
+    covariance check instead of testing the reduction itself.
     """
     dA, dB = model.part_dims
+    eps = model.eps
     for W in model.whole.state_ops:
         R = partial_trace(W, dA, dB, keep="A")
         for P, PI in zip(model.part.prop_ops, model.whole.prop_ops):

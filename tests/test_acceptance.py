@@ -150,7 +150,7 @@ def test_acceptance_5_subentity_positive():
         eps=1e-9,
     )
     canonical_ok = verify_witness(model.part.sps, model.whole.sps, model.witness).ok
-    cov_ok = canonical_witness_check(model, eps=1e-9)
+    cov_ok = canonical_witness_check(model)
     found = search_witness(model.part.sps, model.whole.sps)
     _verdict(5, "canonical witness for the completed model",
              canonical_ok and cov_ok and found is not None)

@@ -212,11 +212,64 @@ def test_comments_and_blank_lines_ignored():
     ("[meta]\nkind = hilbert\n[matrix U 0 0]\n", "matrix"),
     pytest.param(ASYM_2X3, "dims", id="psi-4-dims-2x3"),
     pytest.param(MODEL_4X1, "dims", id="P-2-dims-4x1"),
+    pytest.param("[meta]\nkind = lattice\nkind = sps\n\n[lattice]\nsize = 1\n", "meta",
+                 id="key-kind-twice"),
+    pytest.param("[meta]\nkind = lattice\n\n[lattice]\nsize = 1\n size=1 # again\n", "lattice",
+                 id="key-size-twice"),
 ])
 def test_schema_errors(text, section):
     with pytest.raises(ModelSchemaError) as exc:
         parse_model(text)
     assert section in exc.value.section
+
+
+def _reads_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+BELL = (FIXTURES / "bell.hilbert").read_text()
+LONG = "1" * 5000  # past the length int() reads from text on Python 3.10.7 and later
+LONG_INTS = pytest.mark.skipif(_reads_int(LONG), reason="this interpreter reads 5 000-digit ints")
+ORDER_ROW = "line 8, col 1: expected two element indices"
+DIMS = "section [dims]: factor dimensions must be positive integers"
+SIZE = "section [lattice]: size must be a positive integer"
+# (text, a command that reads it, the error); each field holds a token int() or
+# isdigit() takes that is not made of decimal digits only
+INTEGER_FIELD_FAULTS = [
+    pytest.param("[meta]\nkind = lattice\n\n[lattice]\nsize = 2\n\n[order]\n0 \u00b2\n",
+                 "check-axioms", ORDER_ROW, id="order-superscript"),
+    pytest.param("[meta]\nkind = lattice\n\n[lattice]\nsize = 2\n\n[order]\n0 " + LONG + "\n",
+                 "check-axioms", ORDER_ROW, id="order-5000-digits", marks=LONG_INTS),
+    pytest.param(BELL.replace("[dims]\n2 2", "[dims]\n\u00b2 1"), "schmidt", DIMS,
+                 id="dims-superscript"),
+    pytest.param(BELL.replace("[dims]\n2 2", "[dims]\n2 " + LONG), "schmidt", DIMS,
+                 id="dims-5000-digits", marks=LONG_INTS),
+    pytest.param(BELL.replace("[matrix psi 4 1]", "[matrix psi \u00b2 1]"), "ptrace",
+                 "section [matrix psi \u00b2 1]: header must be [matrix NAME ROWS COLS], "
+                 "ROWS and COLS at least 1", id="matrix-header-superscript"),
+    pytest.param("[meta]\nkind = lattice\n\n[lattice]\nsize = 1_0\n", "check-axioms", SIZE,
+                 id="size-underscore"),
+    pytest.param("[meta]\nkind = lattice\n\n[lattice]\nsize = +3\n", "check-axioms", SIZE,
+                 id="size-plus"),
+    pytest.param("[meta]\nkind = sps\n\n[lattice]\nsize = 1\n\n[states]\ncount = +1\n\n"
+                 "[actuality]\n1\n", "sps-check", "section [states]: count must be an integer",
+                 id="count-plus"),
+]
+
+
+@pytest.mark.parametrize("text,command,error", INTEGER_FIELD_FAULTS)
+def test_integer_fields_take_decimal_digits_only(tmp_path, text, command, error):
+    with pytest.raises(ModelIOError) as exc:
+        parse_model(text)
+    assert str(exc.value) == error
+    path = tmp_path / "probe"
+    path.write_text(text)
+    code, out, err = cli(command, str(path))
+    assert (code, out, err) == (2, "", f"{path}: {error}\n")
 
 
 def hilbert_doc(name, rows):
@@ -536,7 +589,8 @@ def test_labworld_parser_matches_per_token_oracle(text):
 
 
 def _line_by_line_split_sections(text):
-    """The line-by-line splitter the section search replaced, kept as its oracle."""
+    """A line-by-line splitter that cuts each comment by `partition`, kept as the
+    oracle of `modelio._split_sections`."""
     sections = []
     current = None
     for lineno, raw in enumerate(text.split("\n"), start=1):

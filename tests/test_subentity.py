@@ -325,6 +325,19 @@ def test_canonical_witness_check_catches_a_wrong_factor_reduction(monkeypatch):
     assert not canonical_witness_check(model)
 
 
+def test_canonical_witness_check_reads_the_tolerance_the_model_was_built_with(monkeypatch):
+    # reduced on the wrong factor, the state is |0>, certain of |0><0|, where the
+    # whole state gives P x I only 0.9: a mismatch under 1e-9 but not under 0.2
+    psi = np.sqrt(0.9) * np.kron(Z0, Z0) + np.sqrt(0.1) * np.kron(Z1, Z0)
+    strict, loose = (build_completed_model((2, 2), [proj(psi)], [proj(Z0), proj(Z1)], eps)
+                     for eps in (1e-9, 0.2))
+    assert (strict.eps, loose.eps) == (1e-9, 0.2)
+    monkeypatch.setattr(subentity_module, "partial_trace",
+                        lambda W, dA, dB, keep: partial_trace(W, dA, dB, "B"))
+    assert not canonical_witness_check(strict)
+    assert canonical_witness_check(loose)
+
+
 def test_wrong_factor_lifting_breaks_covariance():
     # lifting part properties onto the other tensor factor must fail on a
     # model whose two factors are prepared differently
