@@ -175,29 +175,30 @@ class SchmidtForm:
 # reference eigensolver
 
 
-def jacobi_eigh(H, tol=1e-13, max_sweeps=60):
+def jacobi_eigh(H):
     """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
 
     Returns (eigenvalues ascending, eigenvector columns).  Each rotation is
-    a complex Givens rotation annihilating one off-diagonal entry.  No
-    library code calls it: it is the reference that numpy's eigh is
-    checked against in the tests.
+    a complex Givens rotation annihilating one off-diagonal entry; the sweeps
+    stop, at most 60 of them, once no off-diagonal entry exceeds 1e-13 times
+    the largest entry (or 1e-13, if that is larger).  No library code calls
+    it: it is the reference that numpy's eigh is checked against in the tests.
     """
     A = _entries(H).copy()
     n = A.shape[0]
     V = np.eye(n, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(A))))
-    for _ in range(max_sweeps):
+    small = 1e-13 * max(1.0, float(np.max(np.abs(A))))
+    for _ in range(60):
         off = 0.0
         for p in range(n - 1):
             for q in range(p + 1, n):
                 off = max(off, abs(A[p, q]))
-        if off <= tol * scale:
+        if off <= small:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
                 g = A[p, q]
-                if abs(g) <= tol * scale:
+                if abs(g) <= small:
                     continue
                 phase = g / abs(g)
                 tau = (A[q, q].real - A[p, p].real) / (2.0 * abs(g))

@@ -7,10 +7,10 @@ The bit rows (`up`, `down`) are the one stored form of the order, with two
 inverse indices from a down-set (up-set) mask to its element.  A meet is
 the element whose down-set is the intersection of the down-sets, a join
 likewise through up-sets: one AND and one dict lookup, with no n² table.
-The build checks joins only, since a finite poset with a bottom in which
-every pair has a join is a lattice.  Bottom, top and atoms come from the
-same sets, the boolean `leq` table is a view read off the rows on first
-use, and lattices compare equal and hash alike on the `up` rows.
+The build tests a bottom and each element's join with each join-irreducible,
+which is enough to make a finite poset a lattice.  Bottom, top and atoms
+come from the same sets, the boolean `leq` table is a view read off the rows
+on first use, and lattices compare equal and hash alike on the `up` rows.
 
 The isomorphism search assigns elements one at a time and tests each
 candidate image with two mask comparisons against the images already
@@ -128,9 +128,9 @@ def build_lattice(size, order_pairs):
     for m pairs: during a topological sort (Kahn) each down-set row is the
     OR of its lower neighbours' rows, and then each up-set row that of its
     upper neighbours' rows in reverse topological order.  Raises
-    NotAPartialOrder on a cycle, which is where the sort stalls, and
-    NotALattice when some pair of elements has no unique greatest lower
-    bound or least upper bound.
+    NotAPartialOrder on a cycle, where the sort stalls, and NotALattice,
+    naming a pair, when there is no bottom or some element has no join with
+    some join-irreducible (n·|J| lookups).
     """
     if size < 1:
         raise LatticeError("lattice needs at least one element")
@@ -165,15 +165,15 @@ def build_lattice(size, order_pairs):
             row |= up[b]
         up[a] = row
 
-    # a bound is the element whose down-set (up-set) is the intersection.  A
-    # finite poset with a bottom in which every two elements have a join is
-    # a lattice, so only joins are checked; the meets are tested only on
-    # failure, to name the pair a meet-first scan would
+    # a bound is the element whose down-set (up-set) is the intersection.  With
+    # a bottom, x ∨ j for each x and each j with one lower cover gives every join,
+    # by induction on b: a b with lower covers c1 ≠ c2 is c1 ∨ c2, so a ∨ b = (a ∨ c1) ∨ c2
     by_down = {mask: x for x, mask in enumerate(down)}
     by_up = {mask: x for x, mask in enumerate(up)}
     everything = (1 << size) - 1
     bottom = by_up.get(everything)
-    if bottom is None or _unbounded(up, down, by_up):
+    irreducible = [up[j] for j in range(size) if down[j] ^ 1 << j in by_down]
+    if bottom is None or any(row & col not in by_up for row in up for col in irreducible):
         raise NotALattice(*_unbounded(up, down, by_up, by_down))
     return FiniteLattice(
         size=size,
@@ -187,26 +187,18 @@ def build_lattice(size, order_pairs):
     )
 
 
-def _unbounded(up, down, by_up, by_down=None):
-    """(pair, "join") for the first incomparable pair a < b, row by row, with no join, or None.
+def _unbounded(up, down, by_up, by_down):
+    """(pair, "meet" or "join") for the first incomparable pair a < b lacking that bound.
 
-    Given `by_down`, each pair's meet is tested before its join, and the
-    first failure is returned as (pair, "meet") or (pair, "join").  A
-    comparable pair's bounds are the pair itself, and (b, a) fails exactly
-    when (a, b) does, so that names the pair a scan of all n² would.
-    """
-    everything = (1 << len(up)) - 1
-    for a, row in enumerate(up):
-        rest = everything & ~(row | down[a]) & -(2 << a)  # incomparable b > a
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            b = low.bit_length() - 1
-            if by_down is not None and down[a] & down[b] not in by_down:
-                return (a, b), "meet"
-            if row & up[b] not in by_up:
-                return (a, b), "join"
-    return None
+    Run only on failure, meet first.  Comparable pairs have bounds and (b, a)
+    fails when (a, b) does, so this names the pair a scan of all n² would."""
+    for a, b in combinations(range(len(up)), 2):
+        if up[a] >> b & 1 or down[a] >> b & 1:
+            continue
+        if down[a] & down[b] not in by_down:
+            return (a, b), "meet"
+        if up[a] & up[b] not in by_up:
+            return (a, b), "join"
 
 
 def _cycle(above, order):

@@ -35,6 +35,8 @@ from .hilbert import (DensityOperator, HilbertError, InvalidOperator, Projection
 from .lecce import LabObject, LabWorld
 
 KINDS = ("lattice", "sps", "hilbert", "labworld")
+# the keys each `key = value` section may hold, each at most once
+_KEYS = {"meta": ("kind", "name", "description"), "lattice": ("size",), "states": ("count",)}
 
 
 class ModelIOError(Exception):
@@ -182,6 +184,8 @@ def _kv_lines(lines, section):
                                    f"'key = value' in section [{section}]")
         key, _, val = line.partition("=")
         key = key.strip()
+        if key not in _KEYS[section]:
+            raise ModelSchemaError(section, f"unknown key {key!r}")
         if key in out:
             raise ModelSchemaError(section, f"key {key} listed twice")
         out[key] = val.strip()
@@ -256,7 +260,7 @@ def _parse_sps_body(doc, by_name):
     kv = _kv_lines(by_name.pop(("states",), []), "states")
     count = _integer(kv.get("count", ""))
     if count is None:
-        raise ModelSchemaError("states", "count must be an integer")
+        raise ModelSchemaError("states", "count must be a non-negative integer")
     rows = []
     for lineno, line in by_name.pop(("actuality",), []):
         parts = line.split()

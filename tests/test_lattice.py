@@ -157,12 +157,13 @@ def tangled_presentations(draw):
 
 
 def assert_build_matches_bruteforce(size, pairs):
+    """Check build_lattice against brute_lattice; True when the pairs make a lattice."""
     expected = brute_lattice(size, pairs)
     if isinstance(expected, Exception):
         with pytest.raises(type(expected)) as exc:
             build_lattice(size, pairs)
         assert str(exc.value) == str(expected)
-        return
+        return False
     L = build_lattice(size, pairs)
     pairwise = {
         "meets": tuple(tuple(meet(L, (a, b)) for b in range(L.size)) for a in range(L.size)),
@@ -174,6 +175,7 @@ def assert_build_matches_bruteforce(size, pairs):
                            for b in range(L.size))
     assert L.by_up == {row: x for x, row in enumerate(L.up)}
     assert L.by_down == {row: x for x, row in enumerate(L.down)}
+    return True
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
@@ -186,6 +188,35 @@ def test_build_lattice_against_bruteforce(presentation):
 @given(tangled_presentations())
 def test_build_lattice_against_bruteforce_tangled(presentation):
     assert_build_matches_bruteforce(*presentation)
+
+
+def naturally_labeled_posets(n):
+    """Every poset on 0..n-1 in which a < b implies a < b as integers, once each,
+    as the tuple of its elements' strict down-sets (bit masks).
+
+    Element k's strict down-set is any down-closed subset of 0..k-1.
+    """
+    posets = [()]
+    for k in range(n):
+        posets = [downs + (ideal,) for downs in posets for ideal in range(1 << k)
+                  if all(downs[a] & ~ideal == 0 for a in range(k) if ideal >> a & 1)]
+    return posets
+
+
+def test_build_lattice_on_every_naturally_labeled_poset():
+    counts, lattices = [], []
+    for n in range(1, 7):
+        posets = naturally_labeled_posets(n)
+        counts.append(len(posets))
+        lattices.append(0)
+        for downs in posets:
+            # the covers only, so that the build closes the order itself
+            pairs = [(a, b) for b, below in enumerate(downs) for a in range(b)
+                     if below >> a & 1 and not any(below >> c & 1 and downs[c] >> a & 1
+                                                   for c in range(b))]
+            lattices[-1] += assert_build_matches_bruteforce(n, pairs)
+    assert counts == [1, 2, 7, 40, 357, 4824]  # OEIS A006455
+    assert lattices == [1, 1, 1, 2, 7, 39]
 
 
 def test_equality_and_hash_read_the_order():

@@ -237,6 +237,7 @@ LONG_INTS = pytest.mark.skipif(_reads_int(LONG), reason="this interpreter reads 
 ORDER_ROW = "line 8, col 1: expected two element indices"
 DIMS = "section [dims]: factor dimensions must be positive integers"
 SIZE = "section [lattice]: size must be a positive integer"
+COUNT = "section [states]: count must be a non-negative integer"
 # (text, a command that reads it, the error); each field holds a token int() or
 # isdigit() takes that is not made of decimal digits only
 INTEGER_FIELD_FAULTS = [
@@ -256,13 +257,14 @@ INTEGER_FIELD_FAULTS = [
     pytest.param("[meta]\nkind = lattice\n\n[lattice]\nsize = +3\n", "check-axioms", SIZE,
                  id="size-plus"),
     pytest.param("[meta]\nkind = sps\n\n[lattice]\nsize = 1\n\n[states]\ncount = +1\n\n"
-                 "[actuality]\n1\n", "sps-check", "section [states]: count must be an integer",
-                 id="count-plus"),
+                 "[actuality]\n1\n", "sps-check", COUNT, id="count-plus"),
+    pytest.param("[meta]\nkind = sps\n\n[lattice]\nsize = 1\n\n[states]\ncount = -1\n\n"
+                 "[actuality]\n1\n", "sps-check", COUNT, id="count-minus"),
 ]
 
 
-@pytest.mark.parametrize("text,command,error", INTEGER_FIELD_FAULTS)
-def test_integer_fields_take_decimal_digits_only(tmp_path, text, command, error):
+def _refused(tmp_path, text, command, error):
+    """parse_model raises `error`, and `command` on the text exits 2 with it as one stderr line."""
     with pytest.raises(ModelIOError) as exc:
         parse_model(text)
     assert str(exc.value) == error
@@ -270,6 +272,26 @@ def test_integer_fields_take_decimal_digits_only(tmp_path, text, command, error)
     path.write_text(text)
     code, out, err = cli(command, str(path))
     assert (code, out, err) == (2, "", f"{path}: {error}\n")
+
+
+@pytest.mark.parametrize("text,command,error", INTEGER_FIELD_FAULTS)
+def test_integer_fields_take_decimal_digits_only(tmp_path, text, command, error):
+    _refused(tmp_path, text, command, error)
+
+
+@pytest.mark.parametrize("text,command,error", [
+    pytest.param("[meta]\nkind = lattice\nnmae = x\n\n[lattice]\nsize = 1\n", "check-axioms",
+                 "section [meta]: unknown key 'nmae'", id="meta-nmae"),
+    pytest.param("[meta]\nkind = lattice\n\n[lattice]\nsize = 1\nsiez = 3\n", "check-axioms",
+                 "section [lattice]: unknown key 'siez'", id="lattice-siez"),
+    pytest.param("[meta]\nkind = lattice\n= 4\n\n[lattice]\nsize = 1\n", "check-axioms",
+                 "section [meta]: unknown key ''", id="bare-value"),
+    pytest.param("[meta]\nkind = sps\n\n[lattice]\nsize = 1\n\n[states]\ncount = 1\nsize = 1"
+                 "\n\n[actuality]\n1\n", "sps-check", "section [states]: unknown key 'size'",
+                 id="states-size"),
+])
+def test_unknown_keys_are_refused(tmp_path, text, command, error):
+    _refused(tmp_path, text, command, error)
 
 
 def hilbert_doc(name, rows):
@@ -665,7 +687,8 @@ def model_sections(draw):
     """(header fields, rows as field lists) of a document of any kind, mostly well formed."""
     kind = draw(st.sampled_from(["lattice", "sps", "hilbert", "labworld"]))
     name = draw(st.sampled_from(["d", "a[1]", "x]y"]))  # brackets inside a row are no header
-    sections = [(["meta"], [["kind", "=", kind], ["name", "=", name]])]
+    key = draw(st.sampled_from(["name"] * 9 + ["nmae"]))  # one in ten is an unknown key
+    sections = [(["meta"], [["kind", "=", kind], [key, "=", name]])]
     if kind in ("lattice", "sps"):
         size = draw(st.integers(1, 4))
         pairs = draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)),
