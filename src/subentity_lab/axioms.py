@@ -5,6 +5,12 @@ existence-flavored axioms, e.g. an orthocomplementation map) or a
 counterexample (for universal ones).  `run_battery` evaluates all eight
 in the fixed order of AXIOM_ORDER.
 
+Weak modularity and infinite length are read under an orthocomplementation
+', which a caller's comp must be; it is not checked.  Both are decided from
+the bit rows: the first by the orthomodular criterion, a <= b and
+a' ^ b = 0 force a = b (Kalmbach, Orthomodular Lattices, 1983), the second
+by the rule that b and c are orthogonal iff c <= b'.
+
 Strictness convention for the covering law: "a < x < a v b" is read with
 strict inequalities and the conclusion disjunction non-strict (the
 standard lattice-theoretic reading).
@@ -181,8 +187,26 @@ def check_covering_law(S):
 
 
 def _weak_modularity(L, comp):
-    # (b ^ a') v a = b iff the up-sets of b ^ a' and a meet in b's up-set
+    """The first (a, b) with a <= b and (b ^ a') v a != b, or None; comp must be
+    an orthocomplementation.
+
+    The law then holds iff a <= b and a' ^ b = 0 force a = b (Kalmbach 1983):
+    b' must be the only c >= b' with c ^ b = 0, that is, above no atom below
+    b.  Only a failure is named by the pair scan.
+    """
     up, down, by_down = L.up, L.down, L.by_down
+    atoms = sum(1 << s for s in L.atoms)
+    for b in range(L.size):
+        hit, rest = 0, down[b] & atoms
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            hit |= up[low.bit_length() - 1]
+        if up[comp[b]] & ~hit != 1 << comp[b]:
+            break
+    else:
+        return None
+    # (b ^ a') v a = b iff the up-sets of b ^ a' and a meet in b's up-set
     for a in range(L.size):
         above, down_ca = up[a], down[comp[a]]
         for b in _bits(above):
@@ -192,7 +216,7 @@ def _weak_modularity(L, comp):
 
 
 def check_weak_modularity(S, comp=None):
-    """(b ^ a') v a = b for every a <= b, under an orthocomplementation."""
+    """(b ^ a') v a = b for every a <= b; a given comp must be an orthocomplementation."""
     comp = comp if comp is not None else _require_comp(S)
     ce = _weak_modularity(S.lattice, comp)
     if ce is None:
@@ -308,40 +332,22 @@ def check_irreducibility(S, comp=None):
                         note=f"b={ce} reduces against every a")
 
 
-def _max_orthogonal_family(L, comp):
+def _max_orthogonal_family(L, rows):
     """Largest set of nonzero, pairwise orthogonal elements, via clique search.
 
-    b and c are orthogonal iff some a has b <= a and c <= a'.  On bit rows,
-    the c orthogonal to b are the union of down[a'] over a in up[b], and the
-    b orthogonal to c the union of down[a] over the a with a' in up[c].  Both
-    are read in one walk over each up-set, and their intersection holds the
-    elements orthogonal to b both ways.  Candidates are masks searched in
-    ascending element order, and the first family of the largest size is
-    returned.
+    rows[b] masks the elements orthogonal to b, a symmetric relation.  Only
+    under an orthocomplementation ' are the rows down[b']: b and c are
+    orthogonal (some a has b <= a and c <= a') iff c <= b'.  Candidates are
+    masks searched in ascending element order, and the first family of the
+    largest size is returned.
 
     If no atom is orthogonal to itself, no family is larger than the
     number of atoms: every nonzero element lies above an atom, and two
     members above one atom x would make x orthogonal to x.  The search then
-    stops at the first family of that size.  This holds for any map comp,
-    not only for orthocomplementations.
+    stops at the first family of that size.
     """
-    n, up, down = L.size, L.up, L.down
-    image = [down[c] for c in comp]  # image[a]: down[a']
-    preimage = [0] * n  # preimage[e]: the union of down[a] over the a with a' = e
-    for a, c in enumerate(comp):
-        preimage[c] |= down[a]
-    mutual = []
-    for b in range(n):
-        right = left = 0
-        rest = up[b]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            a = low.bit_length() - 1
-            right |= image[a]
-            left |= preimage[a]
-        mutual.append(right & left)
-    bound = n if any(mutual[x] >> x & 1 for x in L.atoms) else len(L.atoms)
+    n = L.size
+    bound = n if any(rows[x] >> x & 1 for x in L.atoms) else len(L.atoms)
     # the candidates left at each depth of current, so depth costs no Python frames
     best, current, stack = [], [], [((1 << n) - 1) & ~(1 << L.bottom)]
     while stack:
@@ -353,7 +359,7 @@ def _max_orthogonal_family(L, comp):
         low = candidates & -candidates
         c = low.bit_length() - 1
         stack[-1] = candidates = candidates ^ low  # leaves the candidates after c
-        rest = candidates & mutual[c]
+        rest = candidates & rows[c]
         if len(current) + 1 + rest.bit_count() > len(best):
             current.append(c)
             if len(current) > len(best):
@@ -367,14 +373,16 @@ def _max_orthogonal_family(L, comp):
 def check_infinite_length(S, comp=None):
     """Always fails on a finite lattice; reports the maximal orthogonal family.
 
-    The family is the first of the largest size in `_max_orthogonal_family`'s
-    search order.  Under an orthocomplementation no atom is orthogonal to
-    itself (x <= a and x <= a' would put x below a ^ a' = 0), so the family
-    has at most as many members as the lattice has atoms, and the search
-    stops at the first family that reaches that count.
+    A given comp must be an orthocomplementation; it is not checked.  The
+    family is the first of the largest size in `_max_orthogonal_family`'s
+    search order, on the rows down[b'].  No atom is orthogonal to itself
+    (x <= x' would put x below x ^ x' = 0), so the family has at most as
+    many members as the lattice has atoms, and the search stops at the
+    first family that reaches that count.
     """
     comp = comp if comp is not None else _require_comp(S)
-    fam = _max_orthogonal_family(S.lattice, comp)
+    down = S.lattice.down
+    fam = _max_orthogonal_family(S.lattice, [down[c] for c in comp])
     return AxiomVerdict("infinite_length", False, counterexample=tuple(fam),
                         note=f"finite lattice; maximal mutually orthogonal family has size {len(fam)}")
 

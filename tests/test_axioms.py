@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from subentity_lab import axioms, lattice
 from subentity_lab.axioms import (
     AXIOM_ORDER,
+    AxiomVerdict,
     NoOrthocomplementation,
     _irreducibility,
     _max_orthogonal_family,
@@ -141,6 +142,52 @@ def oracle_max_orthogonal(L, comp):
     return best
 
 
+def orthogonality_rows(L, comp):
+    """Row b masks the c orthogonal to b both ways, under any map comp.
+
+    b is orthogonal to c iff some a has b <= a and c <= a'.  The c orthogonal
+    to b are the union of down[a'] over a in up[b], and the b orthogonal to c
+    the union of down[a] over the a with a' in up[c]; both are read in one
+    walk over each up-set.
+    """
+    n, up, down = L.size, L.up, L.down
+    image = [down[c] for c in comp]  # image[a]: down[a']
+    preimage = [0] * n  # preimage[e]: the union of down[a] over the a with a' = e
+    for a, c in enumerate(comp):
+        preimage[c] |= down[a]
+    rows = []
+    for b in range(n):
+        right = left = 0
+        for a in lattice._bits(up[b]):
+            right |= image[a]
+            left |= preimage[a]
+        rows.append(right & left)
+    return rows
+
+
+def pair_scan_weak_modularity(L, comp):
+    """The verdict of the scan over every a <= b, a ascending, then b."""
+    for a in range(L.size):
+        for b in range(L.size):
+            if L.leq[a][b] and (got := join(L, (meet(L, (b, comp[a])), a))) != b:
+                return AxiomVerdict("weak_modularity", False, counterexample=(a, b),
+                                    note=f"a={a} <= b={b} but (b ^ a') v a = {got}")
+    return AxiomVerdict("weak_modularity", True, witness=comp)
+
+
+def assert_row_criteria(L, comps):
+    """Under each orthocomplementation, the row criteria give what the pair walks give."""
+    S = atomic_sps(L)
+    for comp in comps:
+        verdict = check_weak_modularity(S, comp=comp)
+        assert verdict == pair_scan_weak_modularity(L, comp)
+        assert verdict.passed == oracle_weak_modularity(L, comp)
+        rows = orthogonality_rows(L, comp)
+        assert rows == [L.down[c] for c in comp]
+        family = check_infinite_length(S, comp=comp).counterexample
+        assert family == tuple(_max_orthogonal_family(L, rows))
+
+
 def assert_orbit_search_matches_listing(L):
     """One witness per orbit, weighted, against the listing of every witness."""
     listed = orthocomplementations(L)
@@ -165,6 +212,7 @@ def test_checkers_agree_with_bruteforce(name):
     assert orthocomplementations(L) == comps
     assert check_orthocomplementation(S).passed == bool(comps)
     assert_orbit_search_matches_listing(L)
+    assert_row_criteria(L, comps)
     assert check_covering_law(S).passed == oracle_covering_law(L)
     pt = check_plane_transitivity(S)
     ce = oracle_plane_transitivity_counterexample(L)
@@ -242,8 +290,8 @@ def test_orthocomplement_search_has_no_depth_limit():
 
 
 def test_orthogonal_family_search_has_no_depth_limit():
-    # under the constant map to the top every two elements are orthogonal, so
-    # the family is every nonzero element of the chain, one search level each
+    # under the constant map to the top every row is down[top], which holds every
+    # element, so the family is every nonzero element of the chain, one search level each
     L = chain(1200)
     verdict = check_infinite_length(atomic_sps(L), comp=[L.top] * L.size)
     assert verdict.counterexample == tuple(range(1, 1200))
@@ -567,12 +615,15 @@ def test_orthogonal_family_and_covering_law_against_loops(presentation, data):
     L = build_lattice(*presentation)
     # any map, not only an orthocomplementation: the relation is defined for every comp
     comp = data.draw(st.lists(st.integers(0, L.size - 1), min_size=L.size, max_size=L.size))
-    assert _max_orthogonal_family(L, comp) == loop_max_orthogonal_family(L, comp)
+    rows = orthogonality_rows(L, comp)
+    assert _max_orthogonal_family(L, rows) == loop_max_orthogonal_family(L, comp)
     ce = loop_covering_law(L)
     assert check_covering_law(atomic_sps(L)).counterexample == ce
     comps = orthocomplementations(L)
     if comps:
-        assert _max_orthogonal_family(L, comps[0]) == loop_max_orthogonal_family(L, comps[0])
+        rows = orthogonality_rows(L, comps[0])
+        assert _max_orthogonal_family(L, rows) == loop_max_orthogonal_family(L, comps[0])
+    assert_row_criteria(L, comps)
     assert_orbit_search_matches_listing(L)
 
 
@@ -590,13 +641,14 @@ def test_orthogonal_family_against_loops_on_boolean(k):
     # bound on the orthocomplementation and on some atom-disjoint maps
     L = relabeled(boolean(k), k)
     comps = [orthocomplementations(L)[0]]
+    assert_row_criteria(L, comps)
     comps += [atom_disjoint_map(L, random.Random(seed)) for seed in range(6)]
     for seed in range(3):
         rng = random.Random(seed)
         comps.append([rng.randrange(L.size) for _ in range(L.size)])
     sizes = []
     for comp in comps:
-        family = _max_orthogonal_family(L, comp)
+        family = _max_orthogonal_family(L, orthogonality_rows(L, comp))
         assert family == loop_max_orthogonal_family(L, comp)
         sizes.append(len(family))
     assert sizes[0] == k and k in sizes[1:7]
@@ -614,7 +666,7 @@ def test_orthogonal_family_within_atom_bound(name):
     comps += [[rng.randrange(L.size) for _ in range(L.size)] for _ in range(3)]
     for comp in comps:
         family = loop_max_orthogonal_family(L, comp)
-        assert _max_orthogonal_family(L, comp) == family
+        assert _max_orthogonal_family(L, orthogonality_rows(L, comp)) == family
         if not any(L.leq[x][a] and L.leq[x][comp[a]] for x in L.atoms for a in range(L.size)):
             assert len(family) <= len(L.atoms)
 
@@ -630,6 +682,7 @@ def test_orbit_search_against_listing(L):
     # B3+B3 is weakly modular under some of its seven witnesses and not others
     assert_orbit_search_matches_listing(L)
     listed = orthocomplementations(L)
+    assert_row_criteria(L, listed)
     battery = {v.axiom: v.passed for v in run_battery(atomic_sps(L))}
     for name, decider in (("weak_modularity", _weak_modularity),
                           ("irreducibility", _irreducibility)):
