@@ -95,7 +95,9 @@ def _tally(w):
     One pass over a roster groups its objects by preparer and outcomes
     tuple (by identity); the rest is per group.  Labs are compared by
     their integer counts, and Fractions are made only for the cells that
-    differ.
+    differ.  A lab that lists an object twice, or an outcomes tuple that
+    does not answer every register once, raises LecceError; each distinct
+    tuple is checked once, so rows that share one pay a single check.
     """
     regs = w.registerers
     index = {r: j for j, r in enumerate(regs)}
@@ -104,14 +106,19 @@ def _tally(w):
     answered = {}  # id(outcomes) -> indices of the registers it answers yes, and the ideal ones
     preps, yes, sizes, counts = {}, {}, {}, {}
     for lab in w.labs:
+        roster = w.objects[lab]
         groups = defaultdict(list)  # (preparer, id(outcomes)) -> the rows sharing both
-        for row in w.objects[lab]:
+        for row in roster:
             groups[row[1], id(row[2])].append(row)
         by_prep, by_reg = defaultdict(list), [[] for _ in regs]
         count = counts[lab] = defaultdict(lambda: [0] * len(regs))
         for (pi, key), group in groups.items():
             if key not in answered:
-                js = [index[r] for r, a in group[0][2] if a and r in index]
+                outcomes = group[0][2]
+                if len(outcomes) != len(regs) or {r for r, _ in outcomes} != index.keys():
+                    raise LecceError(f"object {group[0][0]} in lab {lab} "
+                                     "must answer every register once")
+                js = [index[r] for r, a in outcomes if a]
                 answered[key] = js, [j for j in js if is_ideal[j]]
             js, ideal_js = answered[key]
             names = [row[0] for row in group]
@@ -121,6 +128,10 @@ def _tally(w):
                 yes_count[j] += len(names)
             for j in ideal_js:
                 by_reg[j] += names
+        if len(set().union(*by_prep.values())) < len(roster):  # the name column, once
+            names = [row[0] for row in roster]
+            dup = next(x for i, x in enumerate(names) if x in names[:i])
+            raise LecceError(f"object {dup} listed twice in lab {lab}")
         preps[lab] = {pi: frozenset(by_prep[pi]) for pi in w.preparers}
         sizes[lab] = {pi: len(by_prep[pi]) for pi in w.preparers}
         yes[lab] = {r: frozenset(by_reg[j]) for j, r in ideal}

@@ -1,8 +1,8 @@
 """Line-oriented model files: parser, canonical serializer, and reports.
 
 One document kind per file ("lattice", "sps", "hilbert", "labworld").
-Complex entries are written `a+bi` / `a-bi` with no inner whitespace
-(only `parse_complex` takes `a + bi`); bare reals are permitted.  Matrix
+Complex entries are written `a+bi` / `a-bi` with no inner whitespace,
+or as bare reals, and one pattern, `_ENTRY`, reads every entry.  Matrix
 names carry roles, checked on parse by the `hilbert` carrier types under
 their tolerances.  Canonical serialization sorts sections, formats floats
 with 17 significant digits, and is a fixpoint: parse(serialize(doc)) == doc.
@@ -12,11 +12,11 @@ has cut the comments; a line whose first non-blank character is '['
 opens a section.  Every integer field is read by one rule, `_integer`:
 decimal digits only, no sign and no '_'.  A lab's rows are checked
 column by column (object names, preparers, each distinct outcome text
-once) and a matrix's entries by one grammar match; the grammar reads
-each entry in one way only, so a match that fails costs about as much
-as one that succeeds.  A row-by-row scan runs only when a check fails,
-to name the first bad row, so every error is the one a row-by-row
-parser reports.
+once) and a matrix's entries by one match of `_ENTRY` over the whole
+matrix; the grammar reads each entry in one way only, so a match that
+fails costs about as much as one that succeeds.  A row-by-row scan runs
+only when a check fails, to name the first bad row by the same rules,
+so every error is the one a row-by-row parser reports.
 """
 
 from __future__ import annotations
@@ -92,24 +92,14 @@ class ModelDocument:
 # \d+\.?\d*, a failed match of a whole matrix would retry every split of
 # every earlier entry, exponential in the number of entries
 _NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_COMPLEX_RE = re.compile(rf"^\s*([+-]?{_NUMBER})(?:\s*([+-])\s*({_NUMBER})\s*i)?\s*$")
-# entries joined by single spaces, each one that parse_complex accepts
 _ENTRY = rf"[+-]?{_NUMBER}(?:[+-]{_NUMBER}i)?"
+_ENTRY_RE = re.compile(_ENTRY)
+# a matrix's entries joined by single spaces: it matches exactly when every
+# entry matches _ENTRY, since no entry holds a space
 _ENTRIES_RE = re.compile(rf"{_ENTRY}(?: {_ENTRY})*")
 
 
 _COMMENT_RE = re.compile(r"#[^\n]*")
-
-
-def parse_complex(token):
-    m = _COMPLEX_RE.match(token)
-    if not m:
-        raise ValueError(f"bad complex literal {token!r}")
-    re_part = float(m.group(1))
-    if m.group(2) is None:
-        return complex(re_part, 0.0)
-    im = float(m.group(3))
-    return complex(re_part, -im if m.group(2) == "-" else im)
 
 
 def format_complex(z):
@@ -300,8 +290,8 @@ def _parse_hilbert_body(doc, by_name):
         flat = " ".join(chain.from_iterable(grid))
         if any(len(entries) != cols for entries in grid) or not _ENTRIES_RE.fullmatch(flat):
             raise _matrix_row_fault(lines, cols)
-        # once the grammar has passed every entry, complex() reads each exactly as
-        # parse_complex would: the same correctly rounded parts, with 'i' as 'j'
+        # every entry has passed _ENTRY, so complex() reads each as that grammar
+        # spells it: its correctly rounded parts, with 'i' as 'j'
         values = map(complex, flat.replace("i", "j").split(" "))
         matrices[name] = np.array(list(values), dtype=complex).reshape(rows, cols)
     if not matrices:
@@ -319,9 +309,7 @@ def _matrix_row_fault(lines, cols):
         if len(entries) != cols:
             return ModelSyntaxError(lineno, _field_col(line, 0), f"{cols} complex entries")
         for j, tok in enumerate(entries):
-            try:
-                parse_complex(tok)
-            except ValueError:
+            if not _ENTRY_RE.fullmatch(tok):
                 return ModelSyntaxError(lineno, _field_col(line, j), "a complex literal")
 
 

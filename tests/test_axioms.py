@@ -290,11 +290,11 @@ def test_orthocomplement_search_has_no_depth_limit():
 
 
 def test_orthogonal_family_search_has_no_depth_limit():
-    # under the constant map to the top every row is down[top], which holds every
-    # element, so the family is every nonzero element of the chain, one search level each
+    # all-ones rows make every pair orthogonal, so the family is every nonzero
+    # element of the chain, one search level each
     L = chain(1200)
-    verdict = check_infinite_length(atomic_sps(L), comp=[L.top] * L.size)
-    assert verdict.counterexample == tuple(range(1, 1200))
+    family = _max_orthogonal_family(L, [(1 << L.size) - 1] * L.size)
+    assert family == list(range(1, 1200))
 
 
 def test_irreducibility_examples():

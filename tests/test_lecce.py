@@ -75,6 +75,24 @@ def test_equal_counts_over_different_sizes_are_a_violation():
     assert validate_world(w).violations == (("p", "r", "j", "k", Fraction(1), Fraction(1, 2)),)
 
 
+@pytest.mark.parametrize("rows,message", [
+    # the yes count would be 2 over an extension of 1
+    ([("o1", "p", (("r", True), ("r", True)))], "object o1 in lab j must answer every register once"),
+    # the extension would be {o1} over a size of 2
+    ([("o1", "p", (("r", True),)), ("o1", "p", (("r", False),))], "object o1 listed twice in lab j"),
+    # o2 would count as answering no
+    ([("o1", "p", (("r", True),)), ("o2", "p", ())], "object o2 in lab j must answer every register once"),
+], ids=["register-answered-twice", "object-listed-twice", "no-outcomes"])
+def test_malformed_hand_built_worlds_are_refused(rows, message):
+    # the parser refuses each of these rows, so only a world built directly reaches the tally
+    w = LabWorld(("j",), ("p",), ("r",), frozenset({"r"}),
+                 {"j": tuple(LabObject(*row) for row in rows)})
+    for fn in (validate_world, partition_states, partition_effects, build_lecce_sps):
+        with pytest.raises(LecceError) as exc:
+            fn(w)
+        assert str(exc.value) == message
+
+
 # --- partitions -----------------------------------------------------------
 
 

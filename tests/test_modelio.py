@@ -26,7 +26,6 @@ from subentity_lab.modelio import (
     Report,
     format_complex,
     input_digest,
-    parse_complex,
     parse_model,
     serialize_model,
 )
@@ -36,6 +35,23 @@ ALL_FIXTURES = sorted(p for p in FIXTURES.iterdir() if p.is_file())
 
 
 # --- complex literals -----------------------------------------------------
+
+
+# a reader of one complex literal, written apart from the matrix grammar and
+# more lenient (it also takes `a + bi`), kept as the oracle of matrix entries
+_NUMBER = modelio._NUMBER
+_COMPLEX_RE = re.compile(rf"^\s*([+-]?{_NUMBER})(?:\s*([+-])\s*({_NUMBER})\s*i)?\s*$")
+
+
+def parse_complex(token):
+    m = _COMPLEX_RE.match(token)
+    if not m:
+        raise ValueError(f"bad complex literal {token!r}")
+    re_part = float(m.group(1))
+    if m.group(2) is None:
+        return complex(re_part, 0.0)
+    im = float(m.group(3))
+    return complex(re_part, -im if m.group(2) == "-" else im)
 
 
 @pytest.mark.parametrize("token,value", [
@@ -124,6 +140,36 @@ def test_matrix_entries_read_exactly_as_parse_complex(entries):
                       + " ".join(entries) + "\n")
     want = np.array([[parse_complex(tok) for tok in entries]])
     assert doc.body["matrices"]["M"].tobytes() == want.tobytes()  # bit for bit, signed zeros too
+
+
+# tokens next to the grammar: what only complex() reads, a part or a sign out of
+# place, a digit outside category Nd (superscript two), and Nd digits, refused
+# where no number may stand and read where one may
+NEAR_MISSES = COMPLEX_ONLY + ["1+", "+-1", "\u00b2", "1e\u00b2", "\u0661i", "\u0661+\u0662i",
+                              "\uff15.e\u096a"]
+
+
+@given(st.integers(1, 4).flatmap(lambda cols: st.lists(
+    st.lists(st.one_of(ENTRIES, st.sampled_from(NEAR_MISSES)), min_size=cols, max_size=cols),
+    min_size=1, max_size=3)))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_matrix_fault_names_the_first_token_the_grammar_refuses(rows):
+    cols = len(rows[0])
+    tokens = [tok for row in rows for tok in row]
+    accepted = [bool(modelio._ENTRY_RE.fullmatch(tok)) for tok in tokens]
+    assert bool(modelio._ENTRIES_RE.fullmatch(" ".join(tokens))) == all(accepted)
+    assert accepted == [_COMPLEX_RE.match(tok) is not None for tok in tokens]  # as the oracle
+    text = (f"[meta]\nkind = hilbert\n\n[matrix M {len(rows)} {cols}]\n"
+            + "".join(" ".join(row) + "\n" for row in rows))
+    if all(accepted):
+        want = np.array([[parse_complex(tok) for tok in row] for row in rows])
+        assert parse_model(text).body["matrices"]["M"].tobytes() == want.tobytes()
+        return
+    i, j = divmod(accepted.index(False), cols)
+    with pytest.raises(ModelSyntaxError) as exc:  # any other exception fails the test
+        parse_model(text)
+    col = len(" ".join(rows[i][:j])) + (2 if j else 1)
+    assert str(exc.value) == f"line {5 + i}, col {col}: expected a complex literal"
 
 
 def test_format_parse_complex_exact():
